@@ -12,11 +12,14 @@ recursion has the rational denominator k(k+1) + (sigma^2/2)(sum s_j^2 +
 psi^{n-1}(s/n, ..., s/n) of either recursion.
 
 All CFs here are real (offsets are symmetric) and bounded by 1; evaluators
-assert this instead of silently coercing.
+raise AssertionError on a value outside [-1, 1] instead of silently
+coercing it, also under ``python -O``.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,9 +40,8 @@ class ResourceLimitError(RuntimeError):
 
 
 def _check_cf(value: float) -> float:
-    assert -1.0 - _BOUND_SLACK <= value <= 1.0 + _BOUND_SLACK, (
-        f"characteristic function left [-1, 1]: {value!r}"
-    )
+    if not -1.0 - _BOUND_SLACK <= value <= 1.0 + _BOUND_SLACK:
+        raise AssertionError(f"characteristic function left [-1, 1]: {value!r}")
     return float(value)
 
 
@@ -145,166 +147,105 @@ def distance_pair_pdf_three(
 # ---------------------------------------------------------------------------
 # Joint CF recursions.
 #
-# Memoisation keys: joint CFs are symmetric in their arguments, so keys are
-# sorted tuples (compared bitwise, no epsilon matching). On diagonal lattices
-# every argument is an integer multiple of a common base -- arguments only
-# ever get removed or added together -- so keys reduce to sorted integer
-# multiplier tuples, which collapses the k! symmetric branches exactly.
+# One memoised core serves the finite-n and the limit recursion, at general
+# and at lattice arguments. Each argument is a multiplier m of a common base,
+# so the argument itself is m * base; a state is the sorted tuple of its
+# multipliers. Joint CFs are symmetric, so equal multipliers are grouped: for
+# each distinct value v with multiplicity c_v, the numerator removes one v
+# with weight c_v (xi(v) + xi_tot), merges two v's into 2v with weight
+# c_v (c_v - 1) xi(v), and merges v into a larger w with weight
+# c_v c_w (xi(v) + xi(w)). A state therefore costs d^2 in its number d of
+# distinct values instead of k^2. The limit recursion is the case xi == 1.
+#
+# Memo keys are compared bitwise, with no epsilon matching. General arguments
+# use base 1.0 and their sorted floats as multipliers (m * 1.0 == m). Equal
+# arguments use base s and integer multipliers starting at (1, ..., 1): merges
+# only ever add multipliers, and integer sums are exact, whereas float sums of
+# equal arguments depend on their order and would split one lattice point
+# over several memo keys.
 # ---------------------------------------------------------------------------
 
 
-def _joint_cf_general(
-    coords: tuple[float, ...],
-    n_particles: int,
-    xi: dict,
-    offsets: OffsetDistribution,
-    memo: dict,
-) -> float:
-    k = len(coords)
-    if k == 0:
-        return 1.0
-    cached = memo.get(coords)
-    if cached is not None:
-        return cached
+def _joint_cf(mults: tuple, xi_at, den_at, memo: dict) -> float:
+    """Joint CF at the sorted multiplier tuple ``mults``.
 
-    def xi_at(v: float) -> float:
-        try:
-            return xi[v]
-        except KeyError:
-            val = offsets.cf_scaled(v, n_particles)
-            xi[v] = val
-            return val
-
-    total = sum(coords)
-    xi_tot = xi_at(total)
-    num = 0.0
-    for i in range(k):
-        rest = coords[:i] + coords[i + 1 :]
-        num += _joint_cf_general(
-            tuple(sorted(rest)), n_particles, xi, offsets, memo
-        ) * (xi_at(coords[i]) + xi_tot)
-        for j in range(k):
-            if j == i:
-                continue
-            merged = list(coords)
-            merged[j] += merged[i]
-            del merged[i]
-            num += _joint_cf_general(
-                tuple(sorted(merged)), n_particles, xi, offsets, memo
-            ) * xi_at(coords[i])
-    den = (k + 1) * (n_particles - 1) + (k + 1 - n_particles) * (
-        xi_tot + sum(xi_at(c) for c in coords)
-    )
-    val = num / den
-    memo[coords] = val
-    return val
-
-
-def _joint_cf_lattice(
-    mults: tuple[int, ...],
-    base: float,
-    n_particles: int,
-    offsets: OffsetDistribution,
-    xi: dict,
-    memo: dict,
-) -> float:
-    k = len(mults)
-    if k == 0:
+    ``xi_at(m)`` is the offset CF at multiplier m; ``den_at(mults, xi_sum)``
+    is the recursion's denominator, given xi_sum = xi(sum) + sum of xi(m).
+    """
+    if not mults:
         return 1.0
     cached = memo.get(mults)
     if cached is not None:
         return cached
+    groups = []  # (value, multiplicity, index of its first copy)
+    first = 0
+    for v, run in itertools.groupby(mults):
+        c = sum(1 for _ in run)
+        groups.append((v, c, first))
+        first += c
+    xi_tot = xi_at(sum(mults))
+    xi_sum = xi_tot
+    num = 0.0
+    for a, (v, cv, i) in enumerate(groups):
+        xv = xi_at(v)
+        xi_sum += cv * xv
+        rest = mults[:i] + mults[i + 1 :]
+        num += cv * (xv + xi_tot) * _joint_cf(rest, xi_at, den_at, memo)
+        if cv > 1:
+            merged = _insert(mults[:i] + mults[i + 2 :], v + v)
+            num += cv * (cv - 1) * xv * _joint_cf(merged, xi_at, den_at, memo)
+        for w, cw, j in groups[a + 1 :]:
+            merged = _insert(mults[:i] + mults[i + 1 : j] + mults[j + 1 :], v + w)
+            num += cv * cw * (xv + xi_at(w)) * _joint_cf(merged, xi_at, den_at, memo)
+    val = num / den_at(mults, xi_sum)
+    memo[mults] = val
+    return val
 
-    def xi_at(m: int) -> float:
+
+def _insert(parts: tuple, value) -> tuple:
+    """Insert ``value`` into the sorted tuple ``parts``, keeping it sorted."""
+    pos = bisect.bisect_left(parts, value)
+    return parts[:pos] + (value,) + parts[pos:]
+
+
+def _finite_cf(
+    mults: tuple, base: float, n_particles: int, offsets: OffsetDistribution
+) -> float:
+    xi: dict = {}
+
+    def xi_at(m) -> float:
         try:
             return xi[m]
         except KeyError:
-            val = offsets.cf_scaled(m * base, n_particles)
-            xi[m] = val
+            val = xi[m] = offsets.cf_scaled(m * base, n_particles)
             return val
 
-    total = sum(mults)
-    xi_tot = xi_at(total)
-    num = 0.0
-    for i in range(k):
-        rest = mults[:i] + mults[i + 1 :]
-        num += _joint_cf_lattice(
-            tuple(sorted(rest)), base, n_particles, offsets, xi, memo
-        ) * (xi_at(mults[i]) + xi_tot)
-        for j in range(k):
-            if j == i:
-                continue
-            merged = list(mults)
-            merged[j] += merged[i]
-            del merged[i]
-            num += _joint_cf_lattice(
-                tuple(sorted(merged)), base, n_particles, offsets, xi, memo
-            ) * xi_at(mults[i])
-    den = (k + 1) * (n_particles - 1) + (k + 1 - n_particles) * (
-        xi_tot + sum(xi_at(m) for m in mults)
-    )
-    val = num / den
-    memo[mults] = val
-    return val
+    def den_at(parts: tuple, xi_sum: float) -> float:
+        k = len(parts)
+        return (k + 1) * (n_particles - 1) + (k + 1 - n_particles) * xi_sum
+
+    return _joint_cf(mults, xi_at, den_at, {})
 
 
-def _joint_cf_limit_general(
-    coords: tuple[float, ...], sigma: float, memo: dict
-) -> float:
-    k = len(coords)
-    if k == 0:
-        return 1.0
-    cached = memo.get(coords)
-    if cached is not None:
-        return cached
-    num = 0.0
-    for i in range(k):
-        rest = coords[:i] + coords[i + 1 :]
-        num += 2.0 * _joint_cf_limit_general(tuple(sorted(rest)), sigma, memo)
-        for j in range(k):
-            if j == i:
-                continue
-            merged = list(coords)
-            merged[j] += merged[i]
-            del merged[i]
-            num += _joint_cf_limit_general(tuple(sorted(merged)), sigma, memo)
-    total = sum(coords)
-    den = k * (k + 1) + 0.5 * sigma * sigma * (
-        sum(c * c for c in coords) + total * total
-    )
-    val = num / den
-    memo[coords] = val
-    return val
-
-
-def _joint_cf_limit_lattice(
-    mults: tuple[int, ...], base: float, sigma: float, memo: dict
-) -> float:
-    k = len(mults)
-    if k == 0:
-        return 1.0
-    cached = memo.get(mults)
-    if cached is not None:
-        return cached
-    num = 0.0
-    for i in range(k):
-        rest = mults[:i] + mults[i + 1 :]
-        num += 2.0 * _joint_cf_limit_lattice(tuple(sorted(rest)), base, sigma, memo)
-        for j in range(k):
-            if j == i:
-                continue
-            merged = list(mults)
-            merged[j] += merged[i]
-            del merged[i]
-            num += _joint_cf_limit_lattice(tuple(sorted(merged)), base, sigma, memo)
-    total = sum(mults)
+def _limit_cf(mults: tuple, base: float, sigma: float) -> float:
     sb = sigma * base
-    den = k * (k + 1) + 0.5 * sb * sb * (
-        sum(m * m for m in mults) + total * total
-    )
-    val = num / den
-    memo[mults] = val
-    return val
+    half_sb2 = 0.5 * sb * sb
+
+    def den_at(parts: tuple, _xi_sum: float) -> float:
+        k = len(parts)
+        total = sum(parts)
+        return k * (k + 1) + half_sb2 * (sum(m * m for m in parts) + total * total)
+
+    return _joint_cf(mults, lambda m: 1.0, den_at, {})
+
+
+def _multipliers(coords: tuple[float, ...]) -> tuple[tuple, float]:
+    """(multipliers, base) for the arguments: the integer lattice (1, ..., 1)
+    when all are equal and nonzero, else the sorted floats with base 1.0."""
+    first = coords[0]
+    if first != 0.0 and all(c == first for c in coords):
+        return (1,) * len(coords), first
+    return tuple(sorted(coords)), 1.0
 
 
 def _require_cap(value: int, cap: int, what: str) -> None:
@@ -338,12 +279,7 @@ def distances_joint_cf(
     _require_cap(k, cap, "k")
     if k == 0:
         return 1.0
-    first = coords[0]
-    if first != 0.0 and all(c == first for c in coords):
-        val = _joint_cf_lattice((1,) * k, first, n_particles, offsets, {}, {})
-    else:
-        val = _joint_cf_general(tuple(sorted(coords)), n_particles, {}, offsets, {})
-    return _check_cf(val)
+    return _check_cf(_finite_cf(*_multipliers(coords), n_particles, offsets))
 
 
 def distances_joint_cf_limit(coords, sigma: float, *, cap: int = DEFAULT_CAP) -> float:
@@ -355,12 +291,7 @@ def distances_joint_cf_limit(coords, sigma: float, *, cap: int = DEFAULT_CAP) ->
     _require_cap(k, cap, "k")
     if k == 0:
         return 1.0
-    first = coords[0]
-    if first != 0.0 and all(c == first for c in coords):
-        val = _joint_cf_limit_lattice((1,) * k, first, sigma, {})
-    else:
-        val = _joint_cf_limit_general(tuple(sorted(coords)), sigma, {})
-    return _check_cf(val)
+    return _check_cf(_limit_cf(*_multipliers(coords), sigma))
 
 
 def particle_cf(
@@ -378,10 +309,7 @@ def particle_cf(
     base = float(s) / n_particles
     if base == 0.0:
         return 1.0
-    val = _joint_cf_lattice(
-        (1,) * (n_particles - 1), base, n_particles, offsets, {}, {}
-    )
-    return _check_cf(val)
+    return _check_cf(_finite_cf((1,) * (n_particles - 1), base, n_particles, offsets))
 
 
 def particle_cf_limit(
@@ -398,8 +326,7 @@ def particle_cf_limit(
     base = float(s) / n_particles
     if base == 0.0:
         return 1.0
-    val = _joint_cf_limit_lattice((1,) * (n_particles - 1), base, sigma, {})
-    return _check_cf(val)
+    return _check_cf(_limit_cf((1,) * (n_particles - 1), base, sigma))
 
 
 # -- closed forms for the three-particle ensemble ---------------------------

@@ -62,6 +62,11 @@ class CliError(Exception):
     """Validation failure that should exit with status 2."""
 
 
+# What a command hands back to ``main``, which writes the manifest and prints
+# the first output path: (output paths, config echo, seed, exit status).
+CommandResult = tuple[list[str], dict, int | None, int]
+
+
 def _resolve(path: str) -> str:
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
@@ -168,8 +173,7 @@ def _parse_tols(text: str) -> dict[int, float]:
 # ---------------------------------------------------------------------- simulate
 
 
-def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
-    started = _utcnow()
+def cmd_simulate(args: argparse.Namespace) -> CommandResult:
     offsets = from_name(args.offset, args.sigma)
     thin = args.thin if args.thin is not None else args.particles
     config = SimConfig(
@@ -237,20 +241,13 @@ def cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
             )
         _write_csv(tpath, header, rows)
         outputs.append(tpath)
-
-    manifest = _resolve(args.manifest or args.out + ".manifest.json")
-    _write_manifest(
-        manifest, "simulate", argv, summary.config, args.seed, started, outputs
-    )
-    print(out)
-    return 0
+    return outputs, summary.config, args.seed, 0
 
 
 # ---------------------------------------------------------------------- moments
 
 
-def cmd_moments(args: argparse.Namespace, argv: list[str]) -> int:
-    started = _utcnow()
+def cmd_moments(args: argparse.Namespace) -> CommandResult:
     if args.max_order < 2:
         raise CliError("--max-order must be >= 2")
     if args.max_order > args.order_limit:
@@ -289,18 +286,8 @@ def cmd_moments(args: argparse.Namespace, argv: list[str]) -> int:
                 ],
             },
         )
-    manifest = _resolve(args.manifest or args.out + ".manifest.json")
-    _write_manifest(
-        manifest,
-        "moments",
-        argv,
-        {"max_order": args.max_order, "sigma": args.sigma, "format": args.format},
-        None,
-        started,
-        [out],
-    )
-    print(out)
-    return 0
+    config = {"max_order": args.max_order, "sigma": args.sigma, "format": args.format}
+    return [out], config, None, 0
 
 
 # ---------------------------------------------------------------------- cf
@@ -332,8 +319,7 @@ def _eval_cf_points(
     raise ValueError(f"unknown recursive cf mode {mode!r}")
 
 
-def cmd_cf(args: argparse.Namespace, argv: list[str]) -> int:
-    started = _utcnow()
+def cmd_cf(args: argparse.Namespace) -> CommandResult:
     mode = args.mode
     points = _parse_grid(args.grid)
     sigma = args.sigma
@@ -391,27 +377,17 @@ def cmd_cf(args: argparse.Namespace, argv: list[str]) -> int:
         _write_json(out, grid.to_json_dict())
     else:
         _write_csv(out, "s,value", ([_fmt(s), _fmt(v)] for s, v in grid.rows()))
-    manifest = _resolve(args.manifest or args.out + ".manifest.json")
-    _write_manifest(
-        manifest,
-        "cf",
-        argv,
-        {
-            "mode": mode,
-            "n": args.n,
-            "k": args.k,
-            "sigma": sigma,
-            "offset": args.offset,
-            "grid": args.grid,
-            "eps": args.eps,
-            "cap": args.cap,
-        },
-        None,
-        started,
-        [out],
-    )
-    print(out)
-    return 0
+    config = {
+        "mode": mode,
+        "n": args.n,
+        "k": args.k,
+        "sigma": sigma,
+        "offset": args.offset,
+        "grid": args.grid,
+        "eps": args.eps,
+        "cap": args.cap,
+    }
+    return [out], config, None, 0
 
 
 # ---------------------------------------------------------------------- compare
@@ -424,8 +400,7 @@ def _laplace_moment(order: int, sigma: float) -> float:
     return math.factorial(order) * b**order
 
 
-def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
-    started = _utcnow()
+def cmd_compare(args: argparse.Namespace) -> CommandResult:
     with open(_resolve(args.summary), "r", encoding="utf-8") as fh:
         summary = EmpiricalSummary.from_json_dict(json.load(fh))
     cfg = summary.config
@@ -552,24 +527,14 @@ def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     }
     out = _resolve(args.out)
     _write_json(out, report)
-    manifest = _resolve(args.manifest or args.out + ".manifest.json")
-    _write_manifest(
-        manifest,
-        "compare",
-        argv,
-        {
-            "summary": args.summary,
-            "baseline": args.baseline,
-            "sigma": sigma,
-            "n": n,
-            "ks_threshold": args.ks_threshold,
-        },
-        None,
-        started,
-        [out],
-    )
-    print(out)
-    return 0 if all_pass else 1
+    config = {
+        "summary": args.summary,
+        "baseline": args.baseline,
+        "sigma": sigma,
+        "n": n,
+        "ks_threshold": args.ks_threshold,
+    }
+    return [out], config, None, 0 if all_pass else 1
 
 
 # ---------------------------------------------------------------------- parser
@@ -687,14 +652,26 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(_merge_dash_values(argv))
+    started = _utcnow()
     try:
-        return COMMANDS[args.command](args, argv)
+        outputs, config, seed, status = COMMANDS[args.command](args)
+        _write_manifest(
+            _resolve(args.manifest or args.out + ".manifest.json"),
+            args.command,
+            argv,
+            config,
+            seed,
+            started,
+            outputs,
+        )
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(outputs[0])
+    return status
 
 
 if __name__ == "__main__":

@@ -8,8 +8,16 @@ derivatives are indexed by integer partitions and obey the linear recursion
                       - sigma^2 * sum_{i < j} a_i a_j phi[a - e_i - e_j]
                       - sigma^2 * sum_i a_i (a_i - 1) phi[a - 2 e_i]
 
-(k = number of parts; indices pruned to canonical partitions), seeded at each
-even order n by the known order-n derivative of the one-distance limit CF.
+(k = number of parts; merge(a, i, j) adds part i to part j and drops part i;
+indices pruned to canonical partitions), seeded at each even order n by the
+known order-n derivative of the one-distance limit CF.
+
+Equal parts give equal terms, so the sums run over the distinct part values v
+with multiplicities c_v: merging two copies of v counts c_v (c_v - 1) times
+and merging v with another value w counts 2 c_v c_w times; the first sigma^2
+sum becomes C(c_v, 2) v^2 and c_v c_w v w terms, the second c_v v (v - 1)
+terms. A step then costs d^2 lookups in the number d of distinct values
+instead of k^2.
 
 Everything here is exact: coefficients are ``fractions.Fraction`` multiples
 of sigma^{order}, never floats. Walking each order's partitions in canonical
@@ -21,6 +29,7 @@ signals an ordering bug, not a user error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,24 +52,9 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield (first, *rest)
 
 
-def partitions_canonical(n: int) -> list[Partition]:
-    return list(partitions(n))
-
-
 def prune(multi_index: Iterable[int]) -> Partition:
     """Drop zero entries and sort the rest nonincreasingly."""
     return tuple(sorted((v for v in multi_index if v != 0), reverse=True))
-
-
-def merge(parts: Partition, i: int, j: int) -> tuple[int, ...]:
-    """Remove entry i and add its value to entry j (0-based, i != j)."""
-    k = len(parts)
-    if i == j or not (0 <= i < k) or not (0 <= j < k):
-        raise ValueError(f"merge needs distinct in-range indices, got i={i}, j={j}")
-    out = list(parts)
-    out[j] += out[i]
-    del out[i]
-    return tuple(out)
 
 
 def phi_base(order: int) -> Fraction:
@@ -81,7 +75,13 @@ def recursion_step(parts: Partition, coefficients: Mapping[Partition, Fraction])
     if k == 0 or any(p <= 0 for p in parts):
         raise ValueError("recursion_step needs a nonempty strictly positive partition")
 
-    def lookup(key: Partition) -> Fraction:
+    def lookup(*edits: tuple[int, int]) -> Fraction:
+        # replace one copy of each old value by its new value; which copy
+        # does not matter, the result is pruned to a partition
+        out = list(parts)
+        for old, new in edits:
+            out[out.index(old)] = new
+        key = prune(out)
         try:
             return coefficients[key]
         except KeyError:
@@ -90,22 +90,17 @@ def recursion_step(parts: Partition, coefficients: Mapping[Partition, Fraction])
                 f"the canonical-order schedule is broken"
             ) from None
 
+    groups = [(v, sum(1 for _ in run)) for v, run in itertools.groupby(parts)]
     total = Fraction(0)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                total += lookup(prune(merge(parts, i, j)))
-    for i in range(k):
-        for j in range(i + 1, k):
-            lower = list(parts)
-            lower[i] -= 1
-            lower[j] -= 1
-            total -= parts[i] * parts[j] * lookup(prune(lower))
-    for i in range(k):
-        if parts[i] >= 2:
-            lower = list(parts)
-            lower[i] -= 2
-            total -= parts[i] * (parts[i] - 1) * lookup(prune(lower))
+    for a, (v, cv) in enumerate(groups):
+        if cv > 1:
+            total += cv * (cv - 1) * lookup((v, 2 * v), (v, 0))
+            total -= cv * (cv - 1) // 2 * v * v * lookup((v, v - 1), (v, v - 1))
+        if v > 1:
+            total -= cv * v * (v - 1) * lookup((v, v - 2))
+        for w, cw in groups[a + 1 :]:
+            total += 2 * cv * cw * lookup((v, v + w), (w, 0))
+            total -= cv * cw * v * w * lookup((v, v - 1), (w, w - 1))
     return total / (k * (k + 1))
 
 
@@ -157,10 +152,6 @@ class PhiTable:
             )
         return self._coefficients[key]
 
-    def entry(self, parts: Iterable[int]) -> ExactCoeff:
-        key = prune(parts)
-        return ExactCoeff(self.coefficient(key), sum(key))
-
     def moment(self, k: int) -> ExactCoeff:
         """Exact k-th moment of the limiting single-particle law, as the
         rational coefficient of sigma^k (zero for odd k)."""
@@ -200,7 +191,3 @@ def build_phi_table(max_order: int) -> PhiTable:
             else:
                 coefficients[parts] = recursion_step(parts, coefficients)
     return PhiTable(coefficients, max_order)
-
-
-def moment(k: int, table: PhiTable) -> ExactCoeff:
-    return table.moment(k)

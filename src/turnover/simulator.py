@@ -64,14 +64,6 @@ class SimConfig:
         return 100 * self.n_particles if self.burn_in is None else self.burn_in
 
 
-@dataclass
-class EnsembleState:
-    """Positions of all particles at one time step."""
-
-    time: int
-    positions: np.ndarray
-
-
 def draw_moves(
     rng: np.random.Generator,
     n_particles: int,
@@ -91,33 +83,6 @@ def draw_moves(
     jj += jj >= ii
     dd = offsets.sample(rng, count)
     return ii, jj, dd
-
-
-def sample_pair(n_particles: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw one ordered pair (i, j) with i != j, uniform over n*(n-1) pairs."""
-    if n_particles < 2:
-        raise ValueError(f"n_particles must be >= 2, got {n_particles}")
-    i = int(rng.integers(0, n_particles))
-    j = int(rng.integers(0, n_particles - 1))
-    if j >= i:
-        j += 1
-    return i, j
-
-
-def apply_move(positions: np.ndarray, i: int, j: int, delta: float) -> None:
-    """In place: particle i jumps to positions[j] + delta."""
-    positions[i] = positions[j] + delta
-
-
-def step(
-    state: EnsembleState, offsets: OffsetDistribution, rng: np.random.Generator
-) -> EnsembleState:
-    """Advance the ensemble by one move; exactly one coordinate changes."""
-    n = len(state.positions)
-    ii, jj, dd = draw_moves(rng, n, offsets, 1)
-    new = state.positions.copy()
-    apply_move(new, int(ii[0]), int(jj[0]), float(dd[0]))
-    return EnsembleState(time=state.time + 1, positions=new)
 
 
 def renormalise(positions: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +172,7 @@ def test_joint_cf_limit_marginalisation_and_symmetry():
 
 def test_joint_cf_at_zero_vector_is_exactly_one():
     assert charfn.distances_joint_cf((0.0, 0.0), 5, GAUSS) == 1.0
+    assert charfn.distances_joint_cf((0.0,) * 10, 100, GAUSS) == 1.0
     assert charfn.distances_joint_cf_limit((0.0, 0.0, 0.0), SIGMA) == 1.0
 
 
@@ -179,6 +182,45 @@ def test_joint_cf_even():
     assert charfn.distances_joint_cf(args, 12, GAUSS) == pytest.approx(
         charfn.distances_joint_cf(neg, 12, GAUSS), rel=1e-14
     )
+
+
+# (s, particle_cf(s, 12), particle_cf_limit(s, 14), distances_joint_cf((s,)*10,
+# 100), distances_joint_cf((s, 0.6 s, 2.0), 10)) for gaussian sigma = 0.1, as
+# computed by the ungrouped k^2 recursions
+PINNED_CF = [
+    (0.5, 0.9994750582001408, 0.9994199387811282, 0.9357735248877882, 0.9732801330835686),
+    (5.0, 0.9496909001512127, 0.9447601855437386, 0.034712893457380274, 0.7571983112728151),
+    (20.0, 0.49975574846570486, 0.47658411290682245, 1.8405497805830765e-07,
+     0.1345257724830663),
+    (50.0, 0.053346474550158444, 0.047284885892166846, 7.939407236047182e-13,
+     0.003876662178368451),
+]
+
+
+@pytest.mark.parametrize("row", PINNED_CF, ids=lambda row: f"s={row[0]}")
+def test_recursions_match_pinned_values(row):
+    s, phi, gamma, psi_diag, psi_mixed = row
+    assert charfn.particle_cf(s, 12, GAUSS) == pytest.approx(phi, abs=1e-13)
+    assert charfn.particle_cf_limit(s, 14, SIGMA, cap=14) == pytest.approx(
+        gamma, abs=1e-13
+    )
+    assert charfn.distances_joint_cf((s,) * 10, 100, GAUSS) == pytest.approx(
+        psi_diag, abs=1e-13
+    )
+    assert charfn.distances_joint_cf((s, 0.6 * s, 2.0), 10, GAUSS) == pytest.approx(
+        psi_mixed, abs=1e-13
+    )
+
+
+def test_cf_bound_check_survives_optimised_mode():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from turnover import charfn; charfn._check_cf(1.5)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 0
+    assert "characteristic function left [-1, 1]: 1.5" in proc.stderr
 
 
 def test_particle_cf_two_particles_closed_form():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ def count_partitions_oracle(n: int) -> int:
 
 
 def test_partitions_of_four_listing():
-    assert moments.partitions_canonical(4) == [
+    assert list(moments.partitions(4)) == [
         (4,),
         (3, 1),
         (2, 2),
@@ -27,12 +28,12 @@ def test_partitions_of_four_listing():
 
 
 def test_partitions_of_zero():
-    assert moments.partitions_canonical(0) == [()]
+    assert list(moments.partitions(0)) == [()]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
 def test_partition_count_matches_oracle(n):
-    parts = moments.partitions_canonical(n)
+    parts = list(moments.partitions(n))
     assert len(parts) == count_partitions_oracle(n)
     assert len(set(parts)) == len(parts)
     assert all(sum(p) == n for p in parts)
@@ -40,7 +41,7 @@ def test_partition_count_matches_oracle(n):
 
 
 def test_partitions_canonical_order_is_decreasing_lex():
-    parts = moments.partitions_canonical(9)
+    parts = list(moments.partitions(9))
     assert parts == sorted(parts, reverse=True)
     assert parts[0] == (9,)
     assert parts[-1] == (1,) * 9
@@ -60,35 +61,24 @@ def test_prune_idempotent_and_sorted(entries):
     assert sum(once) == sum(entries)
 
 
-def test_merge_examples():
-    # positions are 0-based
-    assert moments.merge((2, 1, 1), 1, 2) == (2, 2)
-    assert moments.merge((1, 1), 0, 1) == (2,)
-    assert moments.merge((3, 1), 1, 0) == (4,)
-
-
-def test_merge_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        moments.merge((2, 1), 1, 1)
-    with pytest.raises(ValueError):
-        moments.merge((2, 1), 0, 2)
-
-
 @given(st.data())
 def test_merge_then_prune_preserves_order(data):
     n = data.draw(st.integers(min_value=2, max_value=10))
-    parts = data.draw(st.sampled_from(moments.partitions_canonical(n)))
+    parts = data.draw(st.sampled_from(list(moments.partitions(n))))
     if len(parts) < 2:
         return
     i = data.draw(st.integers(min_value=0, max_value=len(parts) - 1))
     j = data.draw(
         st.integers(min_value=0, max_value=len(parts) - 1).filter(lambda v: v != i)
     )
-    merged = moments.prune(moments.merge(parts, i, j))
+    merged = list(parts)
+    merged[j] += merged[i]
+    del merged[i]
+    merged = moments.prune(merged)
     assert sum(merged) == n
     assert len(merged) == len(parts) - 1
     # a merge dominates its source, so it precedes it in canonical order
-    order = moments.partitions_canonical(n)
+    order = list(moments.partitions(n))
     assert order.index(merged) < order.index(parts)
 
 
@@ -223,10 +213,20 @@ def test_second_moment_matches_limit_cf_curvature():
     assert gaps[1] < 0.1 * abs(target)
 
 
+def test_order_24_table_digest():
+    # every Fraction of the table as built by the ungrouped k^2 recursion
+    table = moments.build_phi_table(24)
+    text = "\n".join(f"{parts}:{value}" for parts, value in table.items_in_order())
+    assert text.count("\n") + 1 == 7338
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e32f013a5181a5bfbbddc200a592a2ec71ec31869eadf01caf3c83a6328e7cc5"
+    )
+
+
 def test_items_in_order_streams_canonically():
     table = moments.build_phi_table(5)
     keys = [k for k, _ in table.items_in_order()]
     expected = []
     for n in range(6):
-        expected.extend(moments.partitions_canonical(n))
+        expected.extend(moments.partitions(n))
     assert keys == expected

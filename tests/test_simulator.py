@@ -7,22 +7,6 @@ from turnover import offsets, simulator
 from turnover.empirical import batch_means_se
 
 
-def test_apply_move_two_particles():
-    x = np.array([3.0, 7.0])
-    simulator.apply_move(x, 0, 1, 0.25)
-    assert x.tolist() == [7.25, 7.0]
-
-
-def test_step_changes_exactly_one_coordinate():
-    rng = np.random.default_rng(11)
-    state = simulator.EnsembleState(time=0, positions=np.zeros(3))
-    nxt = simulator.step(state, offsets.two_point(1.0), rng)
-    assert nxt.time == 1
-    changed = np.nonzero(nxt.positions != state.positions)[0]
-    assert changed.size == 1
-    assert abs(nxt.positions[changed[0]]) == 1.0
-
-
 def test_run_matches_straight_line_reimplementation():
     # replay the same move stream through an independent update rule
     dist = offsets.two_point(1.0)
@@ -45,16 +29,16 @@ def test_run_matches_straight_line_reimplementation():
 
 def test_sample_pair_always_distinct():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        i, j = simulator.sample_pair(2, rng)
-        assert i != j
+    ii, jj, _ = simulator.draw_moves(rng, 2, offsets.gaussian(1.0), 200)
+    for i, j in zip(ii.tolist(), jj.tolist()):
         assert {i, j} == {0, 1}
 
 
 def test_sample_pair_frequencies_two_particles():
     rng = np.random.default_rng(1)
     n = 100_000
-    count01 = sum(1 for _ in range(n) if simulator.sample_pair(2, rng) == (0, 1))
+    ii, jj, _ = simulator.draw_moves(rng, 2, offsets.gaussian(1.0), n)
+    count01 = int(np.count_nonzero((ii == 0) & (jj == 1)))
     se = math.sqrt(0.25 / n)
     assert abs(count01 / n - 0.5) < 4 * se
 
