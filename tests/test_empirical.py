@@ -86,6 +86,48 @@ def test_kde_validation():
         empirical.kde(np.array([0.0]), 1.0, np.array([1.0, 0.0]))
 
 
+def _kde_direct(samples, bandwidth, grid):
+    """The dense O(n * G) Gaussian sum, every kernel at every grid point."""
+    x = np.asarray(samples, dtype=float).ravel()
+    z = (np.asarray(grid, dtype=float)[:, None] - x[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (x.size * bandwidth * math.sqrt(2 * math.pi))
+
+
+def _kde_case(name):
+    rng = np.random.default_rng(10)
+    if name == "summarize-grid":
+        sigma = 0.1
+        frames = rng.laplace(0.0, sigma / math.sqrt(2), (200, 99))
+        grid = empirical.summarize(frames, sigma).kde_grid
+        return frames, 0.1 * sigma, grid
+    if name == "bandwidth-covers-all":
+        return rng.uniform(-1, 1, 3_000), 10.0, np.linspace(-2, 2, 41)
+    if name == "grid-inside-data":
+        return rng.normal(0, 1, 5_000), 0.05, np.linspace(-0.5, 0.5, 101)
+    # h = 0.25 makes 8h = 2.0 exact: -2.0 and 2.0 sit on the window edges of
+    # grid point 0.0, and 3.0 on that of grid point 1.0
+    return np.array([-2.0, 0.0, 2.0, 3.0, 2.5]), 0.25, np.array([0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["summarize-grid", "bandwidth-covers-all", "grid-inside-data", "sample-at-8h"],
+)
+def test_kde_matches_direct_sum_within_truncation_bound(case):
+    samples, h, grid = _kde_case(case)
+    got = empirical.kde(samples, h, grid)
+    direct = _kde_direct(samples, h, grid)
+    bound = math.exp(-32) / (h * math.sqrt(2 * math.pi)) + 1e-12 * direct.max()
+    assert np.max(np.abs(got - direct)) <= bound
+
+
+def test_kde_rejects_nan_samples_and_grid_points():
+    with pytest.raises(ValueError, match="NaN"):
+        empirical.kde(np.array([0.0, np.nan, 1.0]), 1.0, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="grid"):
+        empirical.kde(np.array([0.0, 1.0]), 1.0, np.array([np.nan]))
+
+
 def test_empirical_cf_at_zero():
     assert empirical.empirical_cf(np.array([1.0, 2.0]), 0.0) == (1.0, 0.0)
 
@@ -173,6 +215,12 @@ def test_summary_kde_mass_within_tolerance():
 def test_summary_ecf_bounded():
     summary, _ = _toy_summary(ecf_points=(0.5, 1.0, 5.0))
     assert all(abs(re) <= 1.0 for _, re, _ in summary.ecf)
+
+
+def test_summary_ecf_equals_empirical_cf_of_all_samples():
+    summary, frames = _toy_summary()
+    for s, re, im in summary.ecf:
+        assert (re, im) == empirical.empirical_cf(frames.ravel(), s)
 
 
 def test_summary_json_round_trip():
