@@ -226,18 +226,15 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
     if args.trajectory_out:
         tpath = _resolve(args.trajectory_out)
         n = config.n_particles
+        # one frame at a time as Python floats, so no whole-trajectory list
+        recorded = zip(trajectory.times.tolist(), map(np.ndarray.tolist, trajectory.positions))
         if args.trajectory_format == "wide":
             header = "step," + ",".join(f"x{i + 1}" for i in range(n))
-            rows = (
-                [int(t)] + [_fmt(v) for v in frame]
-                for t, frame in zip(trajectory.times, trajectory.positions)
-            )
+            rows = ([t] + [_fmt(v) for v in frame] for t, frame in recorded)
         else:
             header = "step,particle,position"
             rows = (
-                [int(t), p + 1, _fmt(trajectory.positions[f, p])]
-                for f, t in enumerate(trajectory.times)
-                for p in range(n)
+                [t, p, _fmt(v)] for t, frame in recorded for p, v in enumerate(frame, 1)
             )
         _write_csv(tpath, header, rows)
         outputs.append(tpath)

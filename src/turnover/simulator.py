@@ -168,10 +168,10 @@ def _initial_positions(config: SimConfig, rng: np.random.Generator) -> list[floa
     if config.init == "all_zero":
         return [0.0] * n
     if config.init == "iid_gaussian":
-        return list(rng.standard_normal(n) * config.init_scale)
+        return (rng.standard_normal(n) * config.init_scale).tolist()
     # iid uniform with standard deviation init_scale
     half = math.sqrt(3.0) * config.init_scale
-    return list(rng.uniform(-half, half, n))
+    return rng.uniform(-half, half, n).tolist()
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -179,44 +179,32 @@ def run(config: SimConfig) -> Trajectory:
 
     Deterministic given the seed. The state reached after burn-in is the
     first recorded frame; afterwards every thin-th state is recorded, so a
-    run with steps=0 records exactly one frame.
+    run with steps=0 records exactly one frame. Steps after the last frame
+    change no frame, so they are not applied.
     """
     rng = np.random.default_rng(config.seed)
     x = _initial_positions(config, rng)
     n = config.n_particles
     burn_in = config.resolved_burn_in
     total = burn_in + config.steps
-    thin = config.thin
+    schedule = range(burn_in, total + 1, config.thin)
+    times = np.array(schedule, dtype=np.int64)
+    positions = np.empty((len(schedule), n))
 
-    frames: list[list[float]] = []
-    times: list[int] = []
-    last_record = burn_in + (config.steps // thin) * thin
-    never = total + 1  # sentinel once the recording schedule is exhausted
-    record_at = burn_in
-    done = 0
-    if record_at == 0:
-        frames.append(x.copy())
-        times.append(0)
-        record_at = thin if thin <= last_record else never
-    while done < total:
-        m = min(CHUNK, total - done)
-        ii, jj, dd = draw_moves(rng, n, config.offsets, m)
-        il = ii.tolist()
-        jl = jj.tolist()
-        dl = dd.tolist()
-        pos = 0
-        while pos < m:
-            stop = m if record_at - done > m else record_at - done
-            for t in range(pos, stop):
-                x[il[t]] = x[jl[t]] + dl[t]
+    start = m = pos = 0  # the current batch is steps [start, start + m); pos applied
+    for frame, t in enumerate(schedule):
+        while start + pos < t:
+            if pos == m:
+                start += m
+                m = min(CHUNK, total - start)
+                iv = jv = dv = None  # free the spent batch before drawing the next
+                iv, jv, dv = map(memoryview, draw_moves(rng, n, config.offsets, m))
+                pos = 0
+            stop = min(m, t - start)
+            # memoryviews hand out Python ints and floats one at a time, which
+            # is faster than tolist() and builds no per-batch lists
+            for i, j, d in zip(iv[pos:stop], jv[pos:stop], dv[pos:stop]):
+                x[i] = x[j] + d
             pos = stop
-            if done + pos == record_at:
-                frames.append(x.copy())
-                times.append(record_at)
-                record_at = record_at + thin if record_at + thin <= last_record else never
-        done += m
-    return Trajectory(
-        config=config,
-        times=np.asarray(times, dtype=np.int64),
-        positions=np.asarray(frames, dtype=float),
-    )
+        positions[frame] = x
+    return Trajectory(config=config, times=times, positions=positions)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,3 +251,122 @@ def test_trajectory_observable_names():
     assert trajectory.observable("distances").shape == (6, 2)
     with pytest.raises(ValueError):
         trajectory.observable("velocities")
+
+
+def _replay_in_chunks(config, chunk):
+    """Frames of ``config`` by a straight-line replay that draws the move
+    stream in batches of ``chunk`` steps."""
+    rng = np.random.default_rng(config.seed)
+    n = config.n_particles
+    burn_in = config.resolved_burn_in
+    total = burn_in + config.steps
+    x = [0.0] * n
+    moves = []
+    for start in range(0, total, chunk):
+        ii, jj, dd = simulator.draw_moves(rng, n, config.offsets, min(chunk, total - start))
+        moves.extend(zip(ii.tolist(), jj.tolist(), dd.tolist()))
+    times = list(range(burn_in, total + 1, config.thin))
+    frames = [list(x)] if 0 in times else []
+    for t, (i, j, d) in enumerate(moves, start=1):
+        x[i] = x[j] + d
+        if t in times:
+            frames.append(list(x))
+    return np.asarray(times), np.asarray(frames).reshape(len(times), n)
+
+
+@pytest.mark.parametrize(
+    "burn_in, steps, thin",
+    [
+        (10, 20, 5),  # every frame falls on a chunk boundary
+        (3, 17, 4),  # frames fall inside chunks
+        (0, 12, 1),  # the initial state is a frame, then every step
+        (0, 9, 7),  # a tail of steps after the last frame
+        (0, 0, 1),  # no steps at all
+        (7, 0, 3),  # burn-in only
+    ],
+)
+def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin):
+    monkeypatch.setattr(simulator, "CHUNK", 5)
+    config = simulator.SimConfig(
+        n_particles=4,
+        offsets=offsets.gaussian(1.0),
+        steps=steps,
+        burn_in=burn_in,
+        seed=21,
+        thin=thin,
+    )
+    trajectory = simulator.run(config)
+    times, frames = _replay_in_chunks(config, 5)
+    np.testing.assert_array_equal(trajectory.times, times)
+    np.testing.assert_array_equal(trajectory.positions, frames)
+    assert trajectory.times.dtype == np.int64
+    if burn_in + steps > 5:
+        # the batch size is part of the stream: one unchunked draw differs
+        _, unchunked = _replay_in_chunks(config, burn_in + steps)
+        assert not np.array_equal(trajectory.positions, unchunked)
+
+
+@pytest.mark.parametrize(
+    "kind, n, steps, burn_in, thin, init, digest",
+    [
+        (
+            "gaussian", 5, 3000, 50, 7, "all_zero",
+            "49d98996ba7e705969eb578a89721cfe8730731c0fca677ff2f468469a7408dc",
+        ),
+        (
+            "uniform", 7, 2000, 0, 3, "iid_uniform",
+            "9f70cd9943917bceb299a7cd68676212f4f0d521abe90889c555f50d8609ad03",
+        ),
+        (
+            "two_point", 6, 2500, 100, 11, "iid_gaussian",
+            "8ab4540b4da70c304b86e5556904e2344052335e9ab3abff1d80f55f59e72fea",
+        ),
+        # longer than one draw batch, so the chunk seam is pinned too
+        (
+            "two_point", 50, 1_200_000, 0, 100_003, "all_zero",
+            "f1f8beceeef2a32c6003a7465186cd8d02dbf13dce5548d760c3fde55f8f2ea8",
+        ),
+    ],
+)
+def test_run_trajectory_digest(kind, n, steps, burn_in, thin, init, digest):
+    # pins every bit of the recorded trajectories across engine changes
+    config = simulator.SimConfig(
+        n_particles=n,
+        offsets=offsets.OffsetDistribution(kind, 0.1),
+        steps=steps,
+        burn_in=burn_in,
+        seed=2024,
+        thin=thin,
+        init=init,
+        init_scale=0.5,
+    )
+    trajectory = simulator.run(config)
+    h = hashlib.sha256(trajectory.positions.tobytes())
+    h.update(trajectory.times.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_run_memory_is_bounded_by_the_output(monkeypatch):
+    # long runs hold the recorded frames and a few draw batches, not Python
+    # objects per recorded value
+    chunk = 1 << 16
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    config = simulator.SimConfig(
+        n_particles=100,
+        offsets=offsets.gaussian(0.1),
+        steps=200_000,
+        burn_in=0,
+        seed=22,
+        thin=10,
+    )
+    tracemalloc.start()
+    try:
+        trajectory = simulator.run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trajectory.n_frames == 20_001
+    # a draw holds about five batch-sized arrays at once: jumpers, targets,
+    # the shift mask and the offsets with their unscaled copy
+    budget = trajectory.positions.nbytes + 6 * chunk * 8
+    assert peak < budget, f"traced peak {peak} B over budget {budget} B"
