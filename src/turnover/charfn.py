@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -354,32 +353,3 @@ def particle_cf_three(s: float, offsets: OffsetDistribution) -> float:
     """Closed form of the single-particle CF when n=3: the diagonal
     (s/3, s/3) of the pair CF."""
     return distance_pair_cf_three(s / 3.0, s / 3.0, offsets)
-
-
-@dataclass
-class CFGrid:
-    """One CF (or density) evaluated on a 1-d grid, ready for export."""
-
-    mode: str
-    n: int | None
-    k: int | None
-    sigma: float
-    points: np.ndarray
-    values: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "mode": self.mode,
-            "n": self.n,
-            "k": self.k,
-            "sigma": self.sigma,
-            "points": [
-                {"s": float(s), "value": float(v)}
-                for s, v in zip(self.points, self.values)
-            ],
-        }
-
-    def rows(self):
-        for s, v in zip(self.points, self.values):
-            yield float(s), float(v)

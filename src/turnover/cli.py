@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .charfn import (
-    CFGrid,
     DEFAULT_CAP,
     ResourceLimitError,
     distance_cf,
@@ -79,9 +78,10 @@ def _fmt(x) -> str:
 
 
 def _write_json(path: str, obj: dict) -> None:
+    # encode first: a payload that cannot be written leaves no partial file
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -143,6 +143,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise CliError(f"bad grid {text!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise CliError(f"bad grid {text!r}: start and stop must be finite")
     if count < 1 or stop < start:
         raise CliError(f"bad grid {text!r}: need stop >= start and count >= 1")
     return np.linspace(start, stop, count)
@@ -150,9 +152,12 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise CliError(f"bad float list {text!r}: {exc}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"bad float list {text!r}: values must be finite")
+    return values
 
 
 def _parse_tols(text: str) -> dict[int, float]:
@@ -175,6 +180,7 @@ def _parse_tols(text: str) -> dict[int, float]:
 
 def cmd_simulate(args: argparse.Namespace) -> CommandResult:
     offsets = from_name(args.offset, args.sigma)
+    ecf_points = _parse_floats(args.ecf_s)
     thin = args.thin if args.thin is not None else args.particles
     config = SimConfig(
         n_particles=args.particles,
@@ -200,7 +206,7 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
         frames,
         args.sigma,
         max_order=args.max_order,
-        ecf_points=_parse_floats(args.ecf_s),
+        ecf_points=ecf_points,
         bins=args.bins,
         hist_range=hist_range,
         bandwidth=args.kde_bandwidth,
@@ -247,6 +253,8 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
 def cmd_moments(args: argparse.Namespace) -> CommandResult:
     if args.max_order < 2:
         raise CliError("--max-order must be >= 2")
+    if not (args.sigma > 0 and math.isfinite(args.sigma)):
+        raise CliError(f"--sigma must be a positive finite real, got {args.sigma!r}")
     if args.max_order > args.order_limit:
         raise ResourceLimitError(
             f"--max-order {args.max_order} exceeds the feasibility guard "
@@ -361,19 +369,22 @@ def cmd_cf(args: argparse.Namespace) -> CommandResult:
                 )
             )
 
-    grid = CFGrid(
-        mode=mode,
-        n=args.n if needs_n else None,
-        k=args.k if needs_k else None,
-        sigma=sigma,
-        points=points,
-        values=np.asarray(values, dtype=float),
-    )
+    pairs = list(zip(points.tolist(), np.asarray(values, dtype=float).tolist()))
     out = _resolve(args.out)
     if args.format == "json":
-        _write_json(out, grid.to_json_dict())
+        _write_json(
+            out,
+            {
+                "schema_version": 1,
+                "mode": mode,
+                "n": args.n if needs_n else None,
+                "k": args.k if needs_k else None,
+                "sigma": sigma,
+                "points": [{"s": s, "value": v} for s, v in pairs],
+            },
+        )
     else:
-        _write_csv(out, "s,value", ([_fmt(s), _fmt(v)] for s, v in grid.rows()))
+        _write_csv(out, "s,value", ([_fmt(s), _fmt(v)] for s, v in pairs))
     config = {
         "mode": mode,
         "n": args.n,

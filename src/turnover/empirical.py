@@ -1,9 +1,9 @@
 """Time-averaged empirical statistics of recorded trajectories.
 
 Every entry of every recorded frame counts as one sample (time and particle
-averaging). Raw moments are accumulated with compensated summation; standard
-errors of time averages are estimated by batch means over frames, which
-absorbs the autocorrelation of the chain.
+averaging). Raw moments are plain means of the sample powers (numpy's
+pairwise sums); standard errors of time averages are estimated by batch means
+over frames, which absorbs the autocorrelation of the chain.
 """
 
 from __future__ import annotations
@@ -18,59 +18,27 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _KDE_REACH = 8.0
 
 
-class MomentAccumulator:
-    """Streaming raw moments M_j = mean(x**j), j = 1..max_order.
+def _powers(samples: np.ndarray, max_order: int):
+    """Yield samples**j for j = 1..max_order, one array multiplied in place.
 
-    Accumulation is Kahan-compensated over chunk partial sums (numpy's
-    pairwise chunk sums feed the compensated accumulator), which keeps high
-    orders accurate when magnitudes vary over many decades. Merging two
-    accumulators is associative and commutative.
+    Each yielded array is overwritten by the next order, so use it before
+    asking for the next.
     """
-
-    def __init__(self, max_order: int):
-        if max_order < 1:
-            raise ValueError("max_order must be >= 1")
-        self.max_order = max_order
-        self.count = 0
-        self._sums = [0.0] * max_order
-        self._comp = [0.0] * max_order
-
-    def _add(self, j: int, value: float) -> None:
-        y = value - self._comp[j]
-        t = self._sums[j] + y
-        self._comp[j] = (t - self._sums[j]) - y
-        self._sums[j] = t
-
-    def update(self, samples: np.ndarray) -> None:
-        x = np.asarray(samples, dtype=float).ravel()
-        if x.size == 0:
-            return
-        self.count += x.size
-        power = x.copy()
-        for j in range(self.max_order):
-            if j > 0:
-                power *= x
-            self._add(j, float(power.sum()))
-
-    def merge(self, other: "MomentAccumulator") -> None:
-        if other.max_order != self.max_order:
-            raise ValueError("cannot merge accumulators of different max_order")
-        self.count += other.count
-        for j in range(self.max_order):
-            self._add(j, other._sums[j])
-            self._add(j, -other._comp[j])
-
-    def moments(self) -> np.ndarray:
-        if self.count == 0:
-            raise ValueError("no samples accumulated")
-        return np.array(self._sums) / self.count
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    if samples.size == 0:
+        raise ValueError("moments need at least one sample")
+    power = samples.copy()
+    yield power
+    for _ in range(max_order - 1):
+        power *= samples
+        yield power
 
 
 def accumulate_moments(samples: np.ndarray, max_order: int) -> np.ndarray:
-    """Raw moments of a sample array (see MomentAccumulator)."""
-    acc = MomentAccumulator(max_order)
-    acc.update(np.asarray(samples, dtype=float))
-    return acc.moments()
+    """Raw moments M_j = mean(x**j), j = 1..max_order, of a sample array."""
+    x = np.asarray(samples, dtype=float).ravel()
+    return np.array([float(p.sum()) / x.size for p in _powers(x, max_order)])
 
 
 def kde(samples: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.ndarray:
@@ -102,14 +70,6 @@ def kde(samples: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.ndarray:
         z = (y - x[a:b]) / bandwidth
         out[k] = np.exp(-0.5 * z * z).sum()
     return out / (x.size * bandwidth * _SQRT2PI)
-
-
-def kde_mass(samples: np.ndarray, bandwidth: float, lo: float, hi: float) -> float:
-    """Exact mass of the Gaussian KDE on [lo, hi] (kernel CDF differences)."""
-    from scipy.special import ndtr  # deferred: keeps CLI start-up fast
-
-    x = np.asarray(samples, dtype=float).ravel()
-    return float(np.mean(ndtr((hi - x) / bandwidth) - ndtr((lo - x) / bandwidth)))
 
 
 def empirical_cf(samples: np.ndarray, s: float) -> tuple[float, float]:
@@ -242,13 +202,12 @@ def summarize(
         raise ValueError("summarize needs at least one frame")
     flat = frames.ravel()
 
-    moments = accumulate_moments(flat, max_order)
-    frame_powers = frames.copy()
+    # each power serves its moment (as accumulate_moments) and its SE series
+    moments = []
     moment_ses = []
-    for j in range(1, max_order + 1):
-        if j > 1:
-            frame_powers *= frames
-        moment_ses.append(batch_means_se(frame_powers.mean(axis=1)))
+    for p in _powers(frames, max_order):
+        moments.append(float(p.sum()) / frames.size)
+        moment_ses.append(batch_means_se(p.mean(axis=1)))
 
     if hist_range is None:
         lim = 6.0 * sigma
@@ -273,7 +232,7 @@ def summarize(
 
     return EmpiricalSummary(
         sample_count=int(flat.size),
-        raw_moments=[float(m) for m in moments],
+        raw_moments=moments,
         moment_ses=moment_ses,
         histogram_edges=edges,
         histogram_counts=counts.astype(np.int64),

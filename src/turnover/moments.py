@@ -140,9 +140,6 @@ class PhiTable:
         self._coefficients = coefficients
         self.max_order = max_order
 
-    def __contains__(self, parts: Partition) -> bool:
-        return tuple(parts) in self._coefficients
-
     def coefficient(self, parts: Iterable[int]) -> Fraction:
         key = prune(parts)
         if sum(key) > self.max_order:

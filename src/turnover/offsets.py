@@ -64,10 +64,8 @@ class OffsetDistribution:
         """Half-width sqrt(3)*sigma of the uniform support."""
         return _SQRT3 * self.sigma
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw offsets. Returns a float for size=None, else an ndarray."""
-        if size is None:
-            return float(self.sample(rng, 1)[0])
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` offsets as an ndarray."""
         if self.kind == GAUSSIAN:
             return rng.standard_normal(size) * self.sigma
         if self.kind == UNIFORM:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from turnover import charfn, offsets
+from turnover import charfn, cli, offsets
 from turnover.cli import main
 
 
@@ -51,6 +51,17 @@ def test_moments_guard(tmp_path, capsys):
     assert run_cli("moments", "--max-order", 80, "--out", out) == 2
     assert "resource limit" in capsys.readouterr().err
     assert run_cli("moments", "--max-order", 1, "--out", out) == 2
+    for sigma in ("nan", "inf", "0", "-0.1"):
+        assert run_cli("moments", "--max-order", 4, "--sigma", sigma, "--out", out) == 2
+        assert "--sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_json_payload_leaves_no_file(tmp_path):
+    out = tmp_path / "p.json"
+    with pytest.raises(ValueError):
+        cli._write_json(str(out), {"sigma": 0.1, "value": float("nan")})
+    assert not out.exists()
 
 
 def test_cf_psi_n_grid(tmp_path):
@@ -119,6 +130,13 @@ def test_cf_errors(tmp_path, capsys):
         "cf", "--mode", "psiN", "--n", 10, "--sigma", 0.1,
         "--grid", "0:1", "--out", out,
     ) == 2
+    # non-finite grid ends are rejected up front, not by an evaluator
+    for mode, grid in (("phiN", "0:nan:3"), ("psiN", "0:inf:3"), ("psiN", "-inf:0:3")):
+        assert run_cli(
+            "cf", "--mode", mode, "--n", 3, "--sigma", 0.1, "--grid", grid, "--out", out,
+        ) == 2
+        assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cf_threads_match_sequential(tmp_path):
@@ -247,6 +265,20 @@ def test_compare_validates_flags(tmp_path, capsys):
         "compare", "--summary", summary, "--sigma", 0.1, "--n", 5,
         "--offset", "uniform", "--out", report,
     ) == 2
+    bad = tmp_path / "s.json"
+    for ecf_s in ("nan", "5,inf"):
+        assert run_cli(
+            "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 100,
+            "--ecf-s", ecf_s, "--out", bad,
+        ) == 2
+        assert "finite" in capsys.readouterr().err
+    assert not bad.exists()
+    assert run_cli(
+        "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 100,
+        "--max-order", 0, "--out", bad,
+    ) == 2
+    assert "max_order" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 def test_compare_rejects_raw_summaries(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
 from turnover import empirical
 
@@ -21,38 +22,21 @@ def test_moments_of_symmetric_pair():
 def test_moments_match_fsum_oracle():
     rng = np.random.default_rng(0)
     x = rng.laplace(0.0, 0.1 / math.sqrt(2), 100_000)
-    acc = empirical.MomentAccumulator(8)
-    for chunk in np.array_split(x, 13):
-        acc.update(chunk)
-    got = acc.moments()
+    flat = empirical.accumulate_moments(x, 8)
+    framed = empirical.summarize(x.reshape(1000, 100), 0.1).raw_moments
     for j in range(1, 9):
         exact = math.fsum(v**j for v in x) / x.size
-        assert got[j - 1] == pytest.approx(exact, rel=1e-12, abs=1e-300)
-
-
-def test_accumulator_merge_is_order_independent():
-    rng = np.random.default_rng(1)
-    x = rng.normal(0, 1, 9_000)
-    whole = empirical.MomentAccumulator(4)
-    whole.update(x)
-    parts = [empirical.MomentAccumulator(4) for _ in range(3)]
-    for acc, chunk in zip(parts, np.array_split(x, 3)):
-        acc.update(chunk)
-    merged = empirical.MomentAccumulator(4)
-    for acc in (parts[2], parts[0], parts[1]):
-        merged.merge(acc)
-    assert merged.count == whole.count
-    np.testing.assert_allclose(merged.moments(), whole.moments(), rtol=1e-12)
+        assert flat[j - 1] == pytest.approx(exact, rel=1e-12, abs=1e-300)
+        assert framed[j - 1] == pytest.approx(exact, rel=1e-12, abs=1e-300)
 
 
 def test_accumulator_errors():
     with pytest.raises(ValueError):
-        empirical.MomentAccumulator(0)
-    acc = empirical.MomentAccumulator(2)
+        empirical.accumulate_moments(np.array([1.0]), 0)
     with pytest.raises(ValueError):
-        acc.moments()
+        empirical.accumulate_moments(np.array([]), 2)
     with pytest.raises(ValueError):
-        acc.merge(empirical.MomentAccumulator(3))
+        empirical.summarize(np.ones((3, 2)), 1.0, max_order=0)
 
 
 def test_kde_single_sample_at_grid_point():
@@ -206,9 +190,10 @@ def test_summary_histogram_counts_total_sample_count():
 def test_summary_kde_mass_within_tolerance():
     summary, frames = _toy_summary()
     h = 0.1 * 0.5
-    mass = empirical.kde_mass(
-        frames.ravel(), h, summary.kde_grid[0], summary.kde_grid[-1]
-    )
+    # exact mass of the Gaussian KDE on the grid span: kernel CDF differences
+    x = frames.ravel()
+    lo, hi = summary.kde_grid[0], summary.kde_grid[-1]
+    mass = float(np.mean(ndtr((hi - x) / h) - ndtr((lo - x) / h)))
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
@@ -221,6 +206,14 @@ def test_summary_ecf_equals_empirical_cf_of_all_samples():
     summary, frames = _toy_summary()
     for s, re, im in summary.ecf:
         assert (re, im) == empirical.empirical_cf(frames.ravel(), s)
+
+
+@pytest.mark.parametrize("shape", [(64, 9), (10001, 99), (2, 99999), (777, 13)])
+def test_summary_moments_equal_accumulate_moments_of_all_samples(shape):
+    rng = np.random.default_rng(12)
+    frames = rng.laplace(0.0, 0.5 / math.sqrt(2), shape)
+    summary = empirical.summarize(frames, 0.5, max_order=8)
+    assert summary.raw_moments == empirical.accumulate_moments(frames.ravel(), 8).tolist()
 
 
 def test_summary_json_round_trip():

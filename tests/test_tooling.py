@@ -1,0 +1,70 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps package functions and
+methods by name and reads their arguments in its attribute hooks; a rename or
+deletion in the package would break traced benchmark runs without failing any
+other test."""
+
+import importlib
+import importlib.util
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+@pytest.mark.parametrize("target", sorted(tracer.SPAN_TARGETS), ids=".".join)
+def test_span_targets_resolve(target):
+    mod_name, attr = target
+    assert callable(getattr(importlib.import_module(mod_name), attr))
+
+
+@pytest.mark.parametrize(
+    "target", sorted({**tracer.METHOD_SPANS, **tracer.METHOD_COUNTS}), ids=".".join
+)
+def test_method_targets_resolve(target):
+    mod_name, cls_name, method = target
+    cls = getattr(importlib.import_module(mod_name), cls_name)
+    assert inspect.isfunction(getattr(cls, method))
+
+
+@pytest.mark.parametrize(
+    "argv, spans",
+    [
+        (
+            ["simulate", "--particles", "5", "--sigma", "0.1", "--steps", "200",
+             "--seed", "1", "--out", "d.json"],
+            {"simulator.run", "empirical.summarize", "empirical.kde"},
+        ),
+        (["moments", "--max-order", "6", "--out", "m.json"], {"moments.build_phi_table"}),
+    ],
+    ids=["simulate", "moments"],
+)
+def test_traced_cli_run_records_hook_attributes(tmp_path, argv, spans):
+    # the hooks run on real calls, so a renamed parameter fails here
+    done = subprocess.run(
+        [sys.executable, str(TRACER), "spans.json", *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    recorded = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    by_name = {s["name"]: s for s in recorded}
+    assert spans <= set(by_name)
+    for name in spans & set(tracer.HOOKS):
+        assert by_name[name]["attrs"], name
