@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -37,21 +38,22 @@ from .charfn import (
 )
 from .empirical import EmpiricalSummary, summarize
 from .moments import build_phi_table
-from .offsets import from_name
+from .offsets import OffsetDistribution, from_name
 from .simulator import SimConfig, run
 
 OUT_DIR_ENV = "TURNOVER_OUT_DIR"
 
-CF_MODES = (
-    "psiN",
-    "psiNk",
-    "psiInfK",
-    "phiN",
-    "gammaN",
-    "laplaceCF",
-    "laplacePdf",
-    "muNpdf",
-)
+# mode -> (needs --n, needs --k, evaluated point by point by a recursion)
+CF_MODES = {
+    "psiN": (True, False, False),
+    "psiNk": (True, True, True),
+    "psiInfK": (False, True, True),
+    "phiN": (True, False, True),
+    "gammaN": (True, False, True),
+    "laplaceCF": (False, False, False),
+    "laplacePdf": (False, False, False),
+    "muNpdf": (True, False, False),
+}
 
 DEFAULT_MOMENT_TOL = {2: 0.05, 4: 0.10, 6: 0.25, 8: 0.60}
 ORDER_LIMIT = 60
@@ -169,9 +171,12 @@ def _parse_tols(text: str) -> dict[int, float]:
             continue
         try:
             order, tol = item.split(":")
-            tols[int(order)] = float(tol)
+            order, tol = int(order), float(tol)
         except ValueError as exc:
             raise CliError(f"bad tolerance item {item!r}: {exc}") from None
+        if not (math.isfinite(tol) and tol >= 0):
+            raise CliError(f"bad tolerance item {item!r}: tolerances must be finite and >= 0")
+        tols[order] = tol
     return tols
 
 
@@ -298,76 +303,59 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------- cf
 
 
-def _eval_cf_points(
-    mode: str,
-    points: list[float],
-    n: int | None,
-    k: int | None,
-    sigma: float,
-    offset_kind: str,
-    cap: int,
-    eps: float,
-) -> list[float]:
-    offsets = from_name(offset_kind, sigma)
+def _cf_values(
+    mode: str, n: int | None, k: int | None, offsets: OffsetDistribution,
+    cap: int, eps: float, points: np.ndarray,
+) -> np.ndarray | list[float]:
+    """Values of ``mode`` on ``points``: vectorised modes take the whole grid,
+    recursive modes are evaluated point by point."""
+    # the evaluators are looked up by name at call time, so rebinding them
+    # (as a tracer does) reaches this dispatch
+    sigma = offsets.sigma
+    if mode == "psiN":
+        return distance_cf(points, n, offsets)
+    if mode == "laplaceCF":
+        return distance_cf_limit(points, sigma)
+    if mode == "laplacePdf":
+        return laplace_pdf(points, sigma)
+    if mode == "muNpdf":
+        return distance_pdf(points, n, sigma, eps)
+    grid = points.tolist()
     if mode == "psiNk":
-        return [
-            distances_joint_cf((s,) * k, n, offsets, cap=cap) for s in points
-        ]
+        return [distances_joint_cf((s,) * k, n, offsets, cap=cap) for s in grid]
     if mode == "psiInfK":
-        return [
-            distances_joint_cf_limit((s,) * k, sigma, cap=cap) for s in points
-        ]
+        return [distances_joint_cf_limit((s,) * k, sigma, cap=cap) for s in grid]
     if mode == "phiN":
-        return [particle_cf(s, n, offsets, cap=cap) for s in points]
-    if mode == "gammaN":
-        return [particle_cf_limit(s, n, sigma, cap=cap) for s in points]
-    raise ValueError(f"unknown recursive cf mode {mode!r}")
+        return [particle_cf(s, n, offsets, cap=cap) for s in grid]
+    return [particle_cf_limit(s, n, sigma, cap=cap) for s in grid]
 
 
 def cmd_cf(args: argparse.Namespace) -> CommandResult:
     mode = args.mode
     points = _parse_grid(args.grid)
     sigma = args.sigma
-    needs_n = mode in ("psiN", "psiNk", "phiN", "gammaN", "muNpdf")
+    needs_n, needs_k, recursive = CF_MODES[mode]
     if needs_n and args.n is None:
         raise CliError(f"--n is required for mode {mode}")
-    needs_k = mode in ("psiNk", "psiInfK")
     if needs_k and args.k is None:
         raise CliError(f"--k is required for mode {mode}")
+    if args.threads < 1:
+        raise CliError(f"--threads must be >= 1, got {args.threads}")
+    # validated here, so a bad --sigma fails before any worker is forked
     offsets = from_name(args.offset, sigma)
-
-    if mode == "psiN":
-        values = distance_cf(points, args.n, offsets)
-    elif mode == "laplaceCF":
-        values = distance_cf_limit(points, sigma)
-    elif mode == "laplacePdf":
-        values = laplace_pdf(points, sigma)
-    elif mode == "muNpdf":
-        values = distance_pdf(points, args.n, sigma, args.eps)
+    evaluate = functools.partial(
+        _cf_values, mode, args.n, args.k, offsets, args.cap, args.eps
+    )
+    # only recursive modes are split: distance_pdf chunks the grid internally,
+    # so a split grid would change its bits
+    if recursive and args.threads > 1:
+        chunks = np.array_split(points, min(args.threads * 4, len(points)))
+        # fork starts every worker at once, so never more than can run
+        workers = min(args.threads, len(chunks), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            values = [v for part in pool.map(evaluate, chunks) for v in part]
     else:
-        plist = [float(s) for s in points]
-        if args.threads > 1:
-            n_chunks = min(args.threads * 4, max(1, len(plist)))
-            chunks = [list(c) for c in np.array_split(plist, n_chunks)]
-            with concurrent.futures.ProcessPoolExecutor(args.threads) as pool:
-                parts = pool.map(
-                    _eval_cf_points,
-                    [mode] * len(chunks),
-                    chunks,
-                    [args.n] * len(chunks),
-                    [args.k] * len(chunks),
-                    [sigma] * len(chunks),
-                    [args.offset] * len(chunks),
-                    [args.cap] * len(chunks),
-                    [args.eps] * len(chunks),
-                )
-            values = np.array([v for part in parts for v in part])
-        else:
-            values = np.array(
-                _eval_cf_points(
-                    mode, plist, args.n, args.k, sigma, args.offset, args.cap, args.eps
-                )
-            )
+        values = evaluate(points)
 
     pairs = list(zip(points.tolist(), np.asarray(values, dtype=float).tolist()))
     out = _resolve(args.out)
@@ -408,9 +396,13 @@ def _laplace_moment(order: int, sigma: float) -> float:
     return math.factorial(order) * b**order
 
 
+def _read_summary(path: str) -> EmpiricalSummary:
+    with open(_resolve(path), "r", encoding="utf-8") as fh:
+        return EmpiricalSummary.from_json_dict(json.load(fh))
+
+
 def cmd_compare(args: argparse.Namespace) -> CommandResult:
-    with open(_resolve(args.summary), "r", encoding="utf-8") as fh:
-        summary = EmpiricalSummary.from_json_dict(json.load(fh))
+    summary = _read_summary(args.summary)
     cfg = summary.config
     if not cfg:
         raise CliError(f"summary {args.summary!r} carries no config block")
@@ -431,33 +423,42 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         raise CliError(
             f"compare needs a distances or positions summary, got {observable!r}"
         )
-
-    baseline = None
-    if args.baseline:
-        with open(_resolve(args.baseline), "r", encoding="utf-8") as fh:
-            baseline = EmpiricalSummary.from_json_dict(json.load(fh))
+    distances = observable == "distances"
 
     sigma = args.sigma
     n = args.n
     offsets = from_name(cfg.get("offset", "gaussian"), sigma)
     tols = _parse_tols(args.moment_tol)
     max_order = min(args.max_order, len(summary.raw_moments))
+    orders = range(1, max_order + 1)
 
-    exact_table = None
-    if observable == "positions" and baseline is None:
-        exact_table = build_phi_table(max_order)
+    # the references every row is checked against: a baseline run, or the
+    # Laplace limit and the finite-n one-distance CF for distances, or the
+    # exact limit-law moments for positions (which have no CF reference)
+    analytic_cf = {}
+    if args.baseline:
+        baseline = _read_summary(args.baseline)
+        if baseline.config.get("observable") != observable:
+            raise CliError(f"baseline is not a {observable} summary")
+        if len(baseline.raw_moments) < max_order:
+            raise CliError(f"baseline has {len(baseline.raw_moments)} moments, need {max_order}")
+        exact_moments = baseline.raw_moments
+        if distances:
+            # the first baseline ECF row at each s wins
+            for s, re, _im in baseline.ecf:
+                analytic_cf.setdefault(s, re)
+    elif distances:
+        exact_moments = [_laplace_moment(order, sigma) for order in orders]
+        analytic_cf = {s: float(distance_cf(s, n, offsets)) for s, _re, _im in summary.ecf}
+    else:
+        table = build_phi_table(max_order)
+        exact_moments = [table.moment(order).evaluate(sigma) for order in orders]
 
     all_pass = True
     moment_rows = []
-    for order in range(1, max_order + 1):
-        emp = summary.raw_moments[order - 1]
-        se = summary.moment_ses[order - 1]
-        if baseline is not None:
-            exact = baseline.raw_moments[order - 1]
-        elif observable == "distances":
-            exact = _laplace_moment(order, sigma)
-        else:
-            exact = exact_table.moment(order).evaluate(sigma)
+    for order, emp, se, exact in zip(
+        orders, summary.raw_moments, summary.moment_ses, exact_moments
+    ):
         if exact != 0.0:
             rel = abs(emp - exact) / abs(exact)
             ok = rel <= tols.get(order, 0.60)
@@ -478,31 +479,32 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         )
 
     cf_rows = []
-    if observable == "distances":
-        for (s, re, _im), se in zip(summary.ecf, summary.ecf_ses):
-            if baseline is not None:
-                match = [b for b in baseline.ecf if b[0] == s]
-                analytic = match[0][1] if match else None
-            else:
-                analytic = float(distance_cf(s, n, offsets))
-            if analytic is None:
-                continue
-            gap = abs(re - analytic)
-            ok = math.isfinite(se) and gap <= 4.0 * se
-            all_pass = all_pass and ok
-            cf_rows.append(
-                {
-                    "s": s,
-                    "empirical": re,
-                    "analytic": analytic,
-                    "gap": gap,
-                    "se": None if not math.isfinite(se) else se,
-                    "pass": ok,
-                }
-            )
+    for (s, re, _im), se in zip(summary.ecf, summary.ecf_ses):
+        analytic = analytic_cf.get(s)
+        if analytic is None:
+            continue
+        gap = abs(re - analytic)
+        ok = math.isfinite(se) and gap <= 4.0 * se
+        all_pass = all_pass and ok
+        cf_rows.append(
+            {
+                "s": s,
+                "empirical": re,
+                "analytic": analytic,
+                "gap": gap,
+                "se": None if not math.isfinite(se) else se,
+                "pass": ok,
+            }
+        )
 
     ks_block = None
-    if observable == "distances":
+    overlay = {
+        "grid": summary.kde_grid.tolist(),
+        "kde": summary.kde_values.tolist(),
+        "laplace": None,
+        "mixture": None,
+    }
+    if distances:
         ok = summary.ks_laplace <= args.ks_threshold
         all_pass = all_pass and ok
         ks_block = {
@@ -510,17 +512,9 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
             "threshold": args.ks_threshold,
             "pass": ok,
         }
-
-    overlay = {
-        "grid": summary.kde_grid.tolist(),
-        "kde": summary.kde_values.tolist(),
-        "laplace": laplace_pdf(summary.kde_grid, sigma).tolist()
-        if observable == "distances"
-        else None,
-        "mixture": distance_pdf(summary.kde_grid, n, sigma, args.eps).tolist()
-        if observable == "distances" and offsets.kind == "gaussian" and n > 2
-        else None,
-    }
+        overlay["laplace"] = laplace_pdf(summary.kde_grid, sigma).tolist()
+        if offsets.kind == "gaussian" and n > 2:
+            overlay["mixture"] = distance_pdf(summary.kde_grid, n, sigma, args.eps).tolist()
 
     report = {
         "schema_version": 1,
@@ -555,13 +549,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", required=True)
+    outputs.add_argument("--manifest", default=None)
+    command = functools.partial(sub.add_parser, parents=[outputs])
+    offset_kinds = ["gaussian", "uniform", "two-point", "two_point"]
 
-    sim = sub.add_parser("simulate", help="run the chain and summarise an observable")
+    sim = command("simulate", help="run the chain and summarise an observable")
     sim.add_argument("--particles", type=int, required=True)
     sim.add_argument("--sigma", type=float, required=True)
-    sim.add_argument(
-        "--offset", default="gaussian", choices=["gaussian", "uniform", "two-point", "two_point"]
-    )
+    sim.add_argument("--offset", default="gaussian", choices=offset_kinds)
     sim.add_argument("--steps", type=int, required=True)
     sim.add_argument("--burn-in", type=int, default=None, dest="burn_in")
     sim.add_argument("--seed", type=int, default=0)
@@ -580,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kde-bandwidth", type=float, default=None, dest="kde_bandwidth"
     )
     sim.add_argument("--kde-points", type=int, default=201, dest="kde_points")
-    sim.add_argument("--out", required=True)
     sim.add_argument("--trajectory-out", default=None, dest="trajectory_out")
     sim.add_argument(
         "--trajectory-format",
@@ -588,46 +584,37 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["long", "wide"],
         dest="trajectory_format",
     )
-    sim.add_argument("--manifest", default=None)
 
-    mom = sub.add_parser("moments", help="exact moments of the limiting particle law")
+    mom = command("moments", help="exact moments of the limiting particle law")
     mom.add_argument("--max-order", type=int, required=True, dest="max_order")
     mom.add_argument("--sigma", type=float, default=1.0)
     mom.add_argument("--format", default="json", choices=["json", "csv"])
     mom.add_argument("--order-limit", type=int, default=ORDER_LIMIT, dest="order_limit")
-    mom.add_argument("--out", required=True)
-    mom.add_argument("--manifest", default=None)
 
-    cf = sub.add_parser("cf", help="evaluate a CF or density on a grid")
+    cf = command("cf", help="evaluate a CF or density on a grid")
     cf.add_argument("--mode", required=True, choices=list(CF_MODES))
     cf.add_argument("--n", type=int, default=None)
     cf.add_argument("--k", type=int, default=None)
     cf.add_argument("--sigma", type=float, required=True)
-    cf.add_argument(
-        "--offset", default="gaussian", choices=["gaussian", "uniform", "two-point", "two_point"]
-    )
+    cf.add_argument("--offset", default="gaussian", choices=offset_kinds)
     cf.add_argument("--grid", required=True, help="start:stop:count, endpoints inclusive")
     cf.add_argument("--eps", type=float, default=1e-10)
     cf.add_argument("--cap", type=int, default=DEFAULT_CAP)
     cf.add_argument("--threads", type=int, default=1)
     cf.add_argument("--format", default="csv", choices=["json", "csv"])
-    cf.add_argument("--out", required=True)
-    cf.add_argument("--manifest", default=None)
 
-    cmp_ = sub.add_parser("compare", help="empirical summary vs analytic references")
+    cmp_ = command("compare", help="empirical summary vs analytic references")
     cmp_.add_argument("--summary", required=True)
     cmp_.add_argument("--baseline", default=None)
     cmp_.add_argument("--sigma", type=float, required=True)
     cmp_.add_argument("--n", type=int, required=True)
-    cmp_.add_argument("--offset", default=None)
+    cmp_.add_argument("--offset", default=None, choices=offset_kinds)
     cmp_.add_argument("--max-order", type=int, default=8, dest="max_order")
     cmp_.add_argument(
         "--ks-threshold", type=float, default=0.02, dest="ks_threshold"
     )
     cmp_.add_argument("--moment-tol", default="", dest="moment_tol")
     cmp_.add_argument("--eps", type=float, default=1e-10)
-    cmp_.add_argument("--out", required=True)
-    cmp_.add_argument("--manifest", default=None)
 
     return parser
 

@@ -13,7 +13,7 @@ and the equivalent direct update of the distance row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +58,10 @@ class SimConfig:
             raise ValueError("thin must be >= 1")
         if self.init not in INIT_KINDS:
             raise ValueError(f"unknown init {self.init!r}; expected one of {INIT_KINDS}")
+        if not (self.init_scale > 0 and math.isfinite(self.init_scale)):
+            raise ValueError(
+                f"init_scale must be a positive finite real, got {self.init_scale!r}"
+            )
 
     @property
     def resolved_burn_in(self) -> int:
@@ -138,16 +142,13 @@ class Trajectory:
     config: SimConfig
     times: np.ndarray
     positions: np.ndarray  # shape (n_frames, n_particles)
-    _renormalised: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_frames(self) -> int:
         return self.positions.shape[0]
 
     def renormalised(self) -> np.ndarray:
-        if self._renormalised is None:
-            self._renormalised = renormalise(self.positions)
-        return self._renormalised
+        return renormalise(self.positions)
 
     def distance_rows(self) -> np.ndarray:
         return distance_row(self.renormalised())

@@ -8,6 +8,7 @@ import pytest
 
 from turnover import charfn, cli, offsets
 from turnover.cli import main
+from turnover.moments import build_phi_table
 
 
 def run_cli(*args) -> int:
@@ -139,12 +140,59 @@ def test_cf_errors(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cf_threads_match_sequential(tmp_path):
+@pytest.mark.parametrize(
+    "mode, extra",
+    [
+        ("psiInfK", ["--k", 3]),
+        ("psiNk", ["--n", 20, "--k", 4, "--offset", "two-point"]),
+        ("phiN", ["--n", 5, "--offset", "uniform"]),
+        ("gammaN", ["--n", 8]),
+        ("muNpdf", ["--n", 100]),  # vectorised: --threads is ignored
+    ],
+    ids=["psiInfK", "psiNk", "phiN", "gammaN", "muNpdf"],
+)
+def test_cf_threads_match_sequential(tmp_path, mode, extra):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    common = ["cf", "--mode", "psiInfK", "--k", 3, "--sigma", 0.1, "--grid", "-20:20:9"]
+    common = ["cf", "--mode", mode, *extra, "--sigma", 0.1, "--grid", "-20:20:9"]
     assert run_cli(*common, "--threads", 1, "--out", a) == 0
     assert run_cli(*common, "--threads", 2, "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cf_threads_bound(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "t.csv"
+    common = ["cf", "--mode", "gammaN", "--n", 4, "--sigma", 0.1, "--grid", "0:10:5"]
+    for threads in (0, -3):
+        assert run_cli(*common, "--threads", threads, "--out", out) == 2
+        assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+    workers = []
+
+    class SerialPool:
+        # records the pool size and maps in this process: no worker starts
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert run_cli(*common, "--threads", 1000, "--out", out) == 0
+    assert workers == [5]  # one chunk per grid point
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert run_cli(*common, "--threads", 1000, "--out", out) == 0
+    assert workers == [5, 3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run_cli(*common, "--threads", 1000, "--out", out) == 0
+    assert workers == [5, 3, 1]
 
 
 def test_simulate_canonical_distance_run(tmp_path):
@@ -265,6 +313,19 @@ def test_compare_validates_flags(tmp_path, capsys):
         "compare", "--summary", summary, "--sigma", 0.1, "--n", 5,
         "--offset", "uniform", "--out", report,
     ) == 2
+    for tol in ("2:nan", "4:inf", "2:-0.1"):
+        assert run_cli(
+            "compare", "--summary", summary, "--sigma", 0.1, "--n", 5,
+            "--moment-tol", tol, "--out", report,
+        ) == 2
+        assert "finite" in capsys.readouterr().err
+    assert not report.exists()
+    assert run_cli(
+        "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 100,
+        "--init", "iid-gaussian", "--init-scale", "nan", "--out", report,
+    ) == 2
+    assert "init_scale" in capsys.readouterr().err
+    assert not report.exists()
     bad = tmp_path / "s.json"
     for ecf_s in ("nan", "5,inf"):
         assert run_cli(
@@ -279,6 +340,55 @@ def test_compare_validates_flags(tmp_path, capsys):
     ) == 2
     assert "max_order" in capsys.readouterr().err
     assert not bad.exists()
+
+
+def test_compare_rejects_mismatched_baselines(tmp_path, capsys):
+    common = ["--particles", 5, "--sigma", 0.1, "--steps", 1000, "--seed", 4]
+    summary, short, other = tmp_path / "d.json", tmp_path / "d4.json", tmp_path / "p.json"
+    assert run_cli("simulate", *common, "--out", summary) == 0
+    assert run_cli("simulate", *common, "--max-order", 4, "--out", short) == 0
+    assert run_cli("simulate", *common, "--observe", "positions", "--out", other) == 0
+    report = tmp_path / "rep.json"
+    for observed, baseline, message in (
+        (summary, short, "4 moments, need 8"),
+        (other, summary, "not a positions summary"),
+        (summary, other, "not a distances summary"),
+    ):
+        assert run_cli(
+            "compare", "--summary", observed, "--baseline", baseline,
+            "--sigma", 0.1, "--n", 5, "--out", report,
+        ) == 2
+        assert message in capsys.readouterr().err
+    assert not report.exists()
+    # a shorter comparison only needs as many baseline moments as it checks
+    assert run_cli(
+        "compare", "--summary", summary, "--baseline", short, "--max-order", 4,
+        "--sigma", 0.1, "--n", 5, "--out", report,
+    ) in (0, 1)
+    assert len(read_json(report)["moments"]) == 4
+
+
+def test_compare_positions_against_exact_moments(tmp_path):
+    summary = tmp_path / "p.json"
+    assert run_cli(
+        "simulate", "--particles", 10, "--sigma", 0.1, "--steps", 20000,
+        "--seed", 3, "--observe", "positions", "--out", summary,
+    ) == 0
+    report_path = tmp_path / "rep.json"
+    code = run_cli(
+        "compare", "--summary", summary, "--sigma", 0.1, "--n", 10, "--out", report_path
+    )
+    report = read_json(report_path)
+    assert report["observable"] == "positions"
+    assert [row["order"] for row in report["moments"]] == list(range(1, 9))
+    for row in report["moments"]:
+        k = row["order"]
+        assert row["exact"] == build_phi_table(k).moment(k).evaluate(0.1)
+    assert report["cf_gaps"] == []
+    assert report["ks"] is None
+    assert report["density_overlay"]["laplace"] is None
+    assert report["density_overlay"]["mixture"] is None
+    assert (code == 0) is report["pass"]
 
 
 def test_compare_rejects_raw_summaries(tmp_path):

@@ -220,6 +220,11 @@ def test_config_validation():
         simulator.SimConfig(n_particles=2, offsets=dist, steps=1, thin=0)
     with pytest.raises(ValueError):
         simulator.SimConfig(n_particles=2, offsets=dist, steps=1, init="point")
+    for scale in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="init_scale"):
+            simulator.SimConfig(
+                n_particles=2, offsets=dist, steps=1, init="iid_gaussian", init_scale=scale
+            )
     config = simulator.SimConfig(n_particles=12, offsets=dist, steps=1)
     assert config.resolved_burn_in == 1200
 

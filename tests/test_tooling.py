@@ -52,8 +52,12 @@ def test_method_targets_resolve(target):
             {"simulator.run", "empirical.summarize", "empirical.kde"},
         ),
         (["moments", "--max-order", "6", "--out", "m.json"], {"moments.build_phi_table"}),
+        (["cf", "--mode", "phiN", "--n", "4", "--sigma", "0.1", "--grid", "0:5:3",
+          "--out", "phi.csv"], {"charfn.particle_cf"}),
+        (["cf", "--mode", "psiN", "--n", "4", "--sigma", "0.1", "--grid", "0:5:3",
+          "--out", "psi.csv"], {"charfn.distance_cf"}),
     ],
-    ids=["simulate", "moments"],
+    ids=["simulate", "moments", "cf-phiN", "cf-psiN"],
 )
 def test_traced_cli_run_records_hook_attributes(tmp_path, argv, spans):
     # the hooks run on real calls, so a renamed parameter fails here
