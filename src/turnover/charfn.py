@@ -56,8 +56,7 @@ def distance_cf_limit(s, sigma: float):
     """Large-population limit of the one-distance CF: 2 / (2 + s^2 sigma^2)."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    s = np.asarray(s, dtype=float) if isinstance(s, np.ndarray) else float(s)
-    return 2.0 / (2.0 + (s * sigma) ** 2)
+    return 2.0 / (2.0 + np.square(np.asarray(s, dtype=float) * sigma))
 
 
 def laplace_pdf(y, sigma: float):
@@ -65,9 +64,7 @@ def laplace_pdf(y, sigma: float):
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     c = math.sqrt(2.0) / sigma
-    if isinstance(y, np.ndarray):
-        return 0.5 * c * np.exp(-c * np.abs(y))
-    return 0.5 * c * math.exp(-c * abs(float(y)))
+    return 0.5 * c * np.exp(-c * np.abs(np.asarray(y, dtype=float)))
 
 
 def series_truncation(n_particles: int, eps: float) -> int:
@@ -77,8 +74,8 @@ def series_truncation(n_particles: int, eps: float) -> int:
     """
     if n_particles <= 2:
         raise ValueError("series form needs n_particles > 2")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0, 1), got {eps!r}")
     r = (n_particles - 2) / (n_particles - 1)
     k = math.ceil(math.log(eps * (1.0 - r) * (n_particles - 2)) / math.log(r))
     return max(k, 1)
@@ -96,10 +93,8 @@ def distance_pdf(y, n_particles: int, sigma: float, eps: float = 1e-10):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     kmax = series_truncation(n_particles, eps)
     r = (n_particles - 2) / (n_particles - 1)
-    scalar = not isinstance(y, np.ndarray)
     y = np.asarray(y, dtype=float)
-    shape = y.shape
-    flat = np.atleast_1d(y).ravel()
+    flat = y.ravel()
     out = np.zeros_like(flat)
     ks = np.arange(1, kmax + 1)
     log_w = ks * math.log(r) - math.log(n_particles - 2)
@@ -110,7 +105,7 @@ def distance_pdf(y, n_particles: int, sigma: float, eps: float = 1e-10):
         lw = log_w[start : start + chunk]
         z = flat[:, None] ** 2 / (2.0 * v[None, :])
         out += np.exp(lw[None, :] - z).dot(1.0 / np.sqrt(2.0 * math.pi * v))
-    return float(out[0]) if scalar else out.reshape(shape)
+    return out.reshape(y.shape)[()]
 
 
 def _scaled_offset_pdf(x, n_particles: int, offsets: OffsetDistribution):
@@ -207,37 +202,6 @@ def _insert(parts: tuple, value) -> tuple:
     return parts[:pos] + (value,) + parts[pos:]
 
 
-def _finite_cf(
-    mults: tuple, base: float, n_particles: int, offsets: OffsetDistribution
-) -> float:
-    xi: dict = {}
-
-    def xi_at(m) -> float:
-        try:
-            return xi[m]
-        except KeyError:
-            val = xi[m] = offsets.cf_scaled(m * base, n_particles)
-            return val
-
-    def den_at(parts: tuple, xi_sum: float) -> float:
-        k = len(parts)
-        return (k + 1) * (n_particles - 1) + (k + 1 - n_particles) * xi_sum
-
-    return _joint_cf(mults, xi_at, den_at, {})
-
-
-def _limit_cf(mults: tuple, base: float, sigma: float) -> float:
-    sb = sigma * base
-    half_sb2 = 0.5 * sb * sb
-
-    def den_at(parts: tuple, _xi_sum: float) -> float:
-        k = len(parts)
-        total = sum(parts)
-        return k * (k + 1) + half_sb2 * (sum(m * m for m in parts) + total * total)
-
-    return _joint_cf(mults, lambda m: 1.0, den_at, {})
-
-
 def _multipliers(coords: tuple[float, ...]) -> tuple[tuple, float]:
     """(multipliers, base) for the arguments: the integer lattice (1, ..., 1)
     when all are equal and nonzero, else the sorted floats with base 1.0."""
@@ -278,7 +242,22 @@ def distances_joint_cf(
     _require_cap(k, cap, "k")
     if k == 0:
         return 1.0
-    return _check_cf(_finite_cf(*_multipliers(coords), n_particles, offsets))
+    mults, base = _multipliers(coords)
+    xi: dict = {}
+
+    def xi_at(m) -> float:
+        try:
+            return xi[m]
+        except KeyError:
+            # a Python float keeps the recursion's arithmetic off numpy scalars
+            val = xi[m] = float(offsets.cf_scaled(m * base, n_particles))
+            return val
+
+    def den_at(parts: tuple, xi_sum: float) -> float:
+        k = len(parts)
+        return (k + 1) * (n_particles - 1) + (k + 1 - n_particles) * xi_sum
+
+    return _check_cf(_joint_cf(mults, xi_at, den_at, {}))
 
 
 def distances_joint_cf_limit(coords, sigma: float, *, cap: int = DEFAULT_CAP) -> float:
@@ -290,7 +269,16 @@ def distances_joint_cf_limit(coords, sigma: float, *, cap: int = DEFAULT_CAP) ->
     _require_cap(k, cap, "k")
     if k == 0:
         return 1.0
-    return _check_cf(_limit_cf(*_multipliers(coords), sigma))
+    mults, base = _multipliers(coords)
+    sb = sigma * base
+    half_sb2 = 0.5 * sb * sb
+
+    def den_at(parts: tuple, _xi_sum: float) -> float:
+        k = len(parts)
+        total = sum(parts)
+        return k * (k + 1) + half_sb2 * (sum(m * m for m in parts) + total * total)
+
+    return _check_cf(_joint_cf(mults, lambda m: 1.0, den_at, {}))
 
 
 def particle_cf(
@@ -305,10 +293,9 @@ def particle_cf(
     if n_particles < 2:
         raise ValueError(f"n_particles must be >= 2, got {n_particles}")
     _require_cap(n_particles, cap, "n")
-    base = float(s) / n_particles
-    if base == 0.0:
-        return 1.0
-    return _check_cf(_finite_cf((1,) * (n_particles - 1), base, n_particles, offsets))
+    coords = (float(s) / n_particles,) * (n_particles - 1)
+    # the module-global name, so a rebinding (as a tracer does) sees this call
+    return distances_joint_cf(coords, n_particles, offsets, cap=n_particles)
 
 
 def particle_cf_limit(
@@ -319,13 +306,9 @@ def particle_cf_limit(
     """
     if n_particles < 2:
         raise ValueError(f"n_particles must be >= 2, got {n_particles}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
     _require_cap(n_particles, cap, "n")
-    base = float(s) / n_particles
-    if base == 0.0:
-        return 1.0
-    return _check_cf(_limit_cf((1,) * (n_particles - 1), base, sigma))
+    coords = (float(s) / n_particles,) * (n_particles - 1)
+    return distances_joint_cf_limit(coords, sigma, cap=n_particles)
 
 
 # -- closed forms for the three-particle ensemble ---------------------------

@@ -37,7 +37,7 @@ from .charfn import (
     particle_cf_limit,
 )
 from .empirical import EmpiricalSummary, summarize
-from .moments import build_phi_table
+from .moments import build_phi_table, phi_base
 from .offsets import OffsetDistribution, from_name
 from .simulator import SimConfig, run
 
@@ -186,6 +186,14 @@ def _parse_tols(text: str) -> dict[int, float]:
 def cmd_simulate(args: argparse.Namespace) -> CommandResult:
     offsets = from_name(args.offset, args.sigma)
     ecf_points = _parse_floats(args.ecf_s)
+    # the summary's flags are checked here, so a bad one fails before the run
+    if args.bins < 1:
+        raise CliError(f"--bins must be >= 1, got {args.bins}")
+    if args.kde_points < 1:
+        raise CliError(f"--kde-points must be >= 1, got {args.kde_points}")
+    bandwidth = args.kde_bandwidth
+    if bandwidth is not None and not (bandwidth > 0 and math.isfinite(bandwidth)):
+        raise CliError(f"--kde-bandwidth must be a positive finite real, got {bandwidth!r}")
     thin = args.thin if args.thin is not None else args.particles
     config = SimConfig(
         n_particles=args.particles,
@@ -214,7 +222,7 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
         ecf_points=ecf_points,
         bins=args.bins,
         hist_range=hist_range,
-        bandwidth=args.kde_bandwidth,
+        bandwidth=bandwidth,
         kde_points=args.kde_points,
         config={
             "observable": args.observe,
@@ -268,14 +276,9 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
     table = build_phi_table(args.max_order)
     rows = []
     for order in range(1, args.max_order + 1):
-        coeff = table.moment(order)
+        moment = table.moment(order)
         rows.append(
-            (
-                order,
-                coeff.numerator,
-                coeff.denominator,
-                coeff.evaluate(args.sigma),
-            )
+            (order, moment.numerator, moment.denominator, float(moment) * args.sigma**order)
         )
     out = _resolve(args.out)
     if args.format == "csv":
@@ -339,6 +342,8 @@ def cmd_cf(args: argparse.Namespace) -> CommandResult:
         raise CliError(f"--n is required for mode {mode}")
     if needs_k and args.k is None:
         raise CliError(f"--k is required for mode {mode}")
+    if needs_k and args.k < 1:
+        raise CliError(f"--k must be >= 1, got {args.k}")
     if args.threads < 1:
         raise CliError(f"--threads must be >= 1, got {args.threads}")
     # validated here, so a bad --sigma fails before any worker is forked
@@ -389,19 +394,18 @@ def cmd_cf(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------- compare
 
 
-def _laplace_moment(order: int, sigma: float) -> float:
-    if order % 2:
-        return 0.0
-    b = sigma / math.sqrt(2.0)
-    return math.factorial(order) * b**order
-
-
 def _read_summary(path: str) -> EmpiricalSummary:
     with open(_resolve(path), "r", encoding="utf-8") as fh:
         return EmpiricalSummary.from_json_dict(json.load(fh))
 
 
 def cmd_compare(args: argparse.Namespace) -> CommandResult:
+    if args.max_order < 1:
+        raise CliError(f"--max-order must be >= 1, got {args.max_order}")
+    if not (math.isfinite(args.ks_threshold) and args.ks_threshold >= 0):
+        raise CliError(
+            f"--ks-threshold must be finite and >= 0, got {args.ks_threshold!r}"
+        )
     summary = _read_summary(args.summary)
     cfg = summary.config
     if not cfg:
@@ -440,6 +444,12 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         baseline = _read_summary(args.baseline)
         if baseline.config.get("observable") != observable:
             raise CliError(f"baseline is not a {observable} summary")
+        for key in ("sigma", "n_particles", "offset"):
+            if baseline.config.get(key) != cfg.get(key):
+                raise CliError(
+                    f"baseline {key} mismatch: baseline has "
+                    f"{baseline.config.get(key)!r}, summary has {cfg.get(key)!r}"
+                )
         if len(baseline.raw_moments) < max_order:
             raise CliError(f"baseline has {len(baseline.raw_moments)} moments, need {max_order}")
         exact_moments = baseline.raw_moments
@@ -448,11 +458,12 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
             for s, re, _im in baseline.ecf:
                 analytic_cf.setdefault(s, re)
     elif distances:
-        exact_moments = [_laplace_moment(order, sigma) for order in orders]
+        # the Laplace moments k! (sigma^2/2)^(k/2) are |phi_base(k)| sigma^k
+        exact_moments = [float(abs(phi_base(order))) * sigma**order for order in orders]
         analytic_cf = {s: float(distance_cf(s, n, offsets)) for s, _re, _im in summary.ecf}
     else:
         table = build_phi_table(max_order)
-        exact_moments = [table.moment(order).evaluate(sigma) for order in orders]
+        exact_moments = [float(table.moment(order)) * sigma**order for order in orders]
 
     all_pass = True
     moment_rows = []

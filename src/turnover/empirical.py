@@ -200,6 +200,8 @@ def summarize(
     frames = np.atleast_2d(np.asarray(frames, dtype=float))
     if frames.size == 0:
         raise ValueError("summarize needs at least one frame")
+    if bins < 1 or kde_points < 1:
+        raise ValueError(f"bins and kde_points must be >= 1, got {bins} and {kde_points}")
     flat = frames.ravel()
 
     # each power serves its moment (as accumulate_moments) and its SE series

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -104,30 +103,6 @@ def recursion_step(parts: Partition, coefficients: Mapping[Partition, Fraction])
     return total / (k * (k + 1))
 
 
-@dataclass(frozen=True)
-class ExactCoeff:
-    """An exact rational multiple of sigma**sigma_power."""
-
-    fraction: Fraction
-    sigma_power: int
-
-    @property
-    def numerator(self) -> int:
-        return self.fraction.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.fraction.denominator
-
-    def evaluate(self, sigma: float) -> float:
-        return float(self.fraction) * sigma**self.sigma_power
-
-
-def derivative_bound(order: int) -> Fraction:
-    """Growth bound on order-n derivatives: n! / 2^(n/2) (times sigma^n)."""
-    return Fraction(math.factorial(order), 2 ** (order // 2))
-
-
 class PhiTable:
     """Derivatives of the limit joint CF at 0, keyed by canonical partition.
 
@@ -149,7 +124,7 @@ class PhiTable:
             )
         return self._coefficients[key]
 
-    def moment(self, k: int) -> ExactCoeff:
+    def moment(self, k: int) -> Fraction:
         """Exact k-th moment of the limiting single-particle law, as the
         rational coefficient of sigma^k (zero for odd k)."""
         if k < 1:
@@ -157,9 +132,8 @@ class PhiTable:
         if k > self.max_order:
             raise ValueError(f"order {k} exceeds table max_order {self.max_order}")
         if k % 2:
-            return ExactCoeff(Fraction(0), k)
-        sign = (-1) ** (k // 2)
-        return ExactCoeff(sign * self._coefficients[(1,) * k], k)
+            return Fraction(0)
+        return (-1) ** (k // 2) * self._coefficients[(1,) * k]
 
     def items_in_order(self) -> Iterator[tuple[Partition, Fraction]]:
         for n in range(self.max_order + 1):

@@ -29,21 +29,13 @@ _SQRT3 = math.sqrt(3.0)
 _SINC_CUTOFF = 1e-4
 
 
-def _sinc(u: float) -> float:
-    if abs(u) < _SINC_CUTOFF:
-        u2 = u * u
-        return 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
-    return math.sin(u) / u
-
-
-def _sinc_array(u: np.ndarray) -> np.ndarray:
+def _sinc(u):
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < _SINC_CUTOFF
     safe = np.where(small, 1.0, u)
-    out = np.sin(safe) / safe
     u2 = u * u
     taylor = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
-    return np.where(small, taylor, out)
+    return np.where(small, taylor, np.sin(safe) / safe)[()]
 
 
 @dataclass(frozen=True)
@@ -75,20 +67,14 @@ class OffsetDistribution:
     def cf(self, s):
         """Characteristic function at s (real by symmetry; 1 at s=0).
 
-        Accepts a scalar or an ndarray and returns the matching type.
+        Accepts a scalar or an array; a scalar gives a numpy float64.
         """
-        if isinstance(s, np.ndarray):
-            if self.kind == GAUSSIAN:
-                return np.exp(-0.5 * (self.sigma * s) ** 2)
-            if self.kind == UNIFORM:
-                return _sinc_array(self.half_width * s)
-            return np.cos(self.sigma * s)
-        s = float(s)
+        s = np.asarray(s, dtype=float)
         if self.kind == GAUSSIAN:
-            return math.exp(-0.5 * (self.sigma * s) ** 2)
+            return np.exp(-0.5 * np.square(self.sigma * s))
         if self.kind == UNIFORM:
             return _sinc(self.half_width * s)
-        return math.cos(self.sigma * s)
+        return np.cos(self.sigma * s)
 
     def cf_scaled(self, s, n_particles: int):
         """Characteristic function of the offset divided by sqrt(n_particles)."""
@@ -100,14 +86,10 @@ class OffsetDistribution:
         """Lebesgue density at x; only the gaussian and uniform kinds have one."""
         if self.kind == TWO_POINT:
             raise ValueError("two_point offsets are discrete and have no density")
-        if isinstance(x, np.ndarray):
-            if self.kind == GAUSSIAN:
-                return np.exp(-0.5 * (x / self.sigma) ** 2) / (self.sigma * math.sqrt(2 * math.pi))
-            return np.where(np.abs(x) <= self.half_width, 1.0 / (2.0 * self.half_width), 0.0)
-        x = float(x)
+        x = np.asarray(x, dtype=float)
         if self.kind == GAUSSIAN:
-            return math.exp(-0.5 * (x / self.sigma) ** 2) / (self.sigma * math.sqrt(2 * math.pi))
-        return 1.0 / (2.0 * self.half_width) if abs(x) <= self.half_width else 0.0
+            return np.exp(-0.5 * np.square(x / self.sigma)) / (self.sigma * math.sqrt(2 * math.pi))
+        return np.where(np.abs(x) <= self.half_width, 1.0 / (2.0 * self.half_width), 0.0)[()]
 
 
 def gaussian(sigma: float) -> OffsetDistribution:

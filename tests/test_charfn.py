@@ -13,6 +13,7 @@ from turnover.empirical import batch_means_se
 SIGMA = 0.1
 GAUSS = offsets.gaussian(SIGMA)
 GRID = np.linspace(-50.0, 50.0, 101)
+GRID_FINE = np.linspace(-50.0, 50.0, 1001)
 
 
 def geometric_series_oracle(s, n, dist, tail=1e-12):
@@ -109,6 +110,32 @@ def test_distance_pdf_validation():
         charfn.distance_pdf(0.0, 10, SIGMA, eps=0.0)
     with pytest.raises(ValueError):
         charfn.series_truncation(2, 1e-6)
+    # eps is a discarded mass: 0 < eps < 1, or the series has no meaning
+    for eps in (1.0, 2.0, math.inf, math.nan, -1e-3):
+        with pytest.raises(ValueError, match="eps"):
+            charfn.series_truncation(100, eps)
+        with pytest.raises(ValueError, match="eps"):
+            charfn.distance_pdf(0.0, 100, SIGMA, eps)
+
+
+@pytest.mark.parametrize(
+    "make", [offsets.gaussian, offsets.uniform, offsets.two_point],
+    ids=["gaussian", "uniform", "two_point"],
+)
+def test_scalar_and_array_evaluation_agree_bitwise(make):
+    dist = make(SIGMA)
+    evaluators = {
+        "distance_cf": (lambda s: charfn.distance_cf(s, 100, dist), GRID_FINE),
+        "distance_cf_limit": (lambda s: charfn.distance_cf_limit(s, SIGMA), GRID_FINE),
+        "cf": (dist.cf, GRID_FINE),
+        "laplace_pdf": (lambda y: charfn.laplace_pdf(y, SIGMA), GRID_FINE * SIGMA / 100),
+    }
+    if dist.kind != offsets.TWO_POINT:
+        evaluators["pdf"] = (dist.pdf, GRID_FINE * SIGMA / 10)
+    for name, (evaluate, points) in evaluators.items():
+        scalars = [evaluate(x) for x in points.tolist()]
+        assert all(type(v) is np.float64 for v in scalars), name
+        assert np.array(scalars).tobytes() == evaluate(points).tobytes(), name
 
 
 def test_joint_cf_k1_equals_distance_cf():
@@ -236,6 +263,23 @@ def test_particle_cf_three_particles_closed_form():
             charfn.particle_cf(s, 3, GAUSS) - charfn.particle_cf_three(s, GAUSS)
         ) < 1e-12
     assert charfn.particle_cf(0.0, 3, GAUSS) == 1.0
+
+
+@pytest.mark.parametrize(
+    "make", [offsets.gaussian, offsets.uniform, offsets.two_point],
+    ids=["gaussian", "uniform", "two_point"],
+)
+def test_particle_cfs_are_the_joint_cf_diagonal(make):
+    dist = make(SIGMA)
+    for n in (2, 3, 7, 12):
+        for s in (0.0, 1.0, 13.7, -40.0):
+            diagonal = (s / n,) * (n - 1)
+            assert charfn.particle_cf(s, n, dist) == charfn.distances_joint_cf(
+                diagonal, n, dist
+            )
+            assert charfn.particle_cf_limit(s, n, SIGMA) == charfn.distances_joint_cf_limit(
+                diagonal, SIGMA
+            )
 
 
 def test_particle_cf_cap():

@@ -131,6 +131,18 @@ def test_cf_errors(tmp_path, capsys):
         "cf", "--mode", "psiN", "--n", 10, "--sigma", 0.1,
         "--grid", "0:1", "--out", out,
     ) == 2
+    for mode, extra in (("psiNk", ["--n", 10, "--k", -1]), ("psiInfK", ["--k", 0])):
+        assert run_cli(
+            "cf", "--mode", mode, *extra, "--sigma", 0.1, "--grid", "0:1:2", "--out", out,
+        ) == 2
+        assert "--k must be >= 1" in capsys.readouterr().err
+    # eps is the mixture's discarded mass, so it lies in (0, 1)
+    for eps in ("inf", "2", "1", "0", "nan"):
+        assert run_cli(
+            "cf", "--mode", "muNpdf", "--n", 100, "--sigma", 0.1, "--eps", eps,
+            "--grid", "0:1:2", "--out", out,
+        ) == 2
+        assert "eps must be in (0, 1)" in capsys.readouterr().err
     # non-finite grid ends are rejected up front, not by an evaluator
     for mode, grid in (("phiN", "0:nan:3"), ("psiN", "0:inf:3"), ("psiN", "-inf:0:3")):
         assert run_cli(
@@ -275,6 +287,29 @@ def test_simulate_raw_observable_histogram_covers_samples(tmp_path):
     assert sum(data["histogram"]["counts"]) == data["sample_count"]
 
 
+def test_simulate_checks_summary_flags_before_the_run(tmp_path, monkeypatch, capsys):
+    def no_run(config):
+        raise AssertionError("the chain ran before the summary flags were checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "d.json"
+    for flags, message in (
+        (["--bins", 0], "--bins"),
+        (["--bins", -5], "--bins"),
+        (["--kde-points", 0], "--kde-points"),
+        (["--kde-bandwidth", 0], "--kde-bandwidth"),
+        (["--kde-bandwidth", -0.1], "--kde-bandwidth"),
+        (["--kde-bandwidth", "nan"], "--kde-bandwidth"),
+        (["--kde-bandwidth", "inf"], "--kde-bandwidth"),
+    ):
+        assert run_cli(
+            "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 100, *flags,
+            "--out", out,
+        ) == 2
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_against_itself_has_zero_gaps(tmp_path):
     summary = tmp_path / "d.json"
     assert run_cli(
@@ -319,6 +354,19 @@ def test_compare_validates_flags(tmp_path, capsys):
             "--moment-tol", tol, "--out", report,
         ) == 2
         assert "finite" in capsys.readouterr().err
+    for flags, message in (
+        (["--max-order", 0], "--max-order must be >= 1"),
+        (["--max-order", -2], "--max-order must be >= 1"),
+        (["--ks-threshold", "nan"], "--ks-threshold"),
+        (["--ks-threshold", "inf"], "--ks-threshold"),
+        (["--ks-threshold", -0.01], "--ks-threshold"),
+        (["--eps", 2], "eps must be in (0, 1)"),
+    ):
+        assert run_cli(
+            "compare", "--summary", summary, "--sigma", 0.1, "--n", 5, *flags,
+            "--out", report,
+        ) == 2
+        assert message in capsys.readouterr().err
     assert not report.exists()
     assert run_cli(
         "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 100,
@@ -348,11 +396,19 @@ def test_compare_rejects_mismatched_baselines(tmp_path, capsys):
     assert run_cli("simulate", *common, "--out", summary) == 0
     assert run_cli("simulate", *common, "--max-order", 4, "--out", short) == 0
     assert run_cli("simulate", *common, "--observe", "positions", "--out", other) == 0
+    # baselines of another law: sigma, n or offset differ from the summary's
+    sigma2, n6, unif = tmp_path / "s2.json", tmp_path / "n6.json", tmp_path / "u.json"
+    assert run_cli("simulate", *common, "--sigma", 0.2, "--out", sigma2) == 0
+    assert run_cli("simulate", *common, "--particles", 6, "--out", n6) == 0
+    assert run_cli("simulate", *common, "--offset", "uniform", "--out", unif) == 0
     report = tmp_path / "rep.json"
     for observed, baseline, message in (
         (summary, short, "4 moments, need 8"),
         (other, summary, "not a positions summary"),
         (summary, other, "not a distances summary"),
+        (summary, sigma2, "baseline sigma mismatch"),
+        (summary, n6, "baseline n_particles mismatch"),
+        (summary, unif, "baseline offset mismatch"),
     ):
         assert run_cli(
             "compare", "--summary", observed, "--baseline", baseline,
@@ -383,7 +439,7 @@ def test_compare_positions_against_exact_moments(tmp_path):
     assert [row["order"] for row in report["moments"]] == list(range(1, 9))
     for row in report["moments"]:
         k = row["order"]
-        assert row["exact"] == build_phi_table(k).moment(k).evaluate(0.1)
+        assert row["exact"] == float(build_phi_table(k).moment(k)) * 0.1**k
     assert report["cf_gaps"] == []
     assert report["ks"] is None
     assert report["density_overlay"]["laplace"] is None

@@ -240,3 +240,8 @@ def test_summary_single_frame_has_null_ses():
 def test_summary_rejects_empty():
     with pytest.raises(ValueError):
         empirical.summarize(np.empty((0, 3)), 1.0)
+    # no histogram bin or no KDE point would summarise nothing
+    frames = np.zeros((2, 3))
+    for kw in ({"bins": 0}, {"kde_points": 0}, {"bins": -1}):
+        with pytest.raises(ValueError, match="bins and kde_points"):
+            empirical.summarize(frames, 1.0, **kw)

@@ -133,35 +133,34 @@ def test_derivative_bound_up_to_order_twelve():
     table = moments.build_phi_table(12)
     for parts, value in table.items_in_order():
         order = sum(parts)
-        assert abs(value) <= moments.derivative_bound(order)
+        # the bound n! / 2^(n/2) is |phi_base(n)| at even n
+        assert abs(value) <= abs(moments.phi_base(order))
         if order % 2:
             assert value == 0
 
 
 def test_moment_values():
     table = moments.build_phi_table(8)
-    assert table.moment(2).fraction == Fraction(1, 2)
-    assert table.moment(4).fraction == Fraction(5, 4)
-    assert table.moment(6).fraction == Fraction(215, 24)
-    assert table.moment(8).fraction == Fraction(102877, 720)
-    assert table.moment(3).fraction == Fraction(0)
-    assert table.moment(8).sigma_power == 8
+    assert table.moment(2) == Fraction(1, 2)
+    assert table.moment(4) == Fraction(5, 4)
+    assert table.moment(6) == Fraction(215, 24)
+    assert table.moment(8) == Fraction(102877, 720)
+    assert table.moment(3) == Fraction(0)
 
 
 def test_kurtosis_is_exactly_five():
     table = moments.build_phi_table(4)
-    m2, m4 = table.moment(2).fraction, table.moment(4).fraction
+    m2, m4 = table.moment(2), table.moment(4)
     assert m4 / m2**2 == Fraction(5)
 
 
 def test_sigma_enters_only_through_the_power():
     table = moments.build_phi_table(6)
-    coeff = table.moment(6)
+    m6 = table.moment(6)
+    assert type(m6) is Fraction
     for sigma in (0.1, 3.0):
-        assert coeff.evaluate(sigma) == pytest.approx(
-            float(coeff.fraction) * sigma**6, rel=1e-15
-        )
-    assert coeff.numerator == 215 and coeff.denominator == 24
+        assert float(m6) * sigma**6 == pytest.approx(215 / 24 * sigma**6, rel=1e-15)
+    assert m6.numerator == 215 and m6.denominator == 24
 
 
 def test_moment_errors():
@@ -186,12 +185,6 @@ def test_recursion_step_rejects_invalid_partitions():
         moments.recursion_step((2, 0), {})
 
 
-def test_exact_coeff_evaluate():
-    coeff = moments.ExactCoeff(Fraction(5, 4), 4)
-    assert coeff.evaluate(1.0) == 1.25
-    assert coeff.evaluate(0.1) == pytest.approx(1.25e-4, rel=1e-15)
-
-
 def test_second_moment_matches_limit_cf_curvature():
     # cross-module: the finite-difference curvature of the diagonal limit
     # family at 0 approaches -moment(2) as the ensemble grows
@@ -199,7 +192,7 @@ def test_second_moment_matches_limit_cf_curvature():
 
     sigma = 0.1
     table = moments.build_phi_table(2)
-    target = -table.moment(2).evaluate(sigma)
+    target = -float(table.moment(2)) * sigma**2
     h = 0.25
     gaps = []
     for n in (4, 12):
