@@ -38,10 +38,14 @@ class ResourceLimitError(RuntimeError):
     """Raised when an exact recursion would exceed the configured cap."""
 
 
-def _check_cf(value: float) -> float:
-    if not -1.0 - _BOUND_SLACK <= value <= 1.0 + _BOUND_SLACK:
-        raise AssertionError(f"characteristic function left [-1, 1]: {value!r}")
-    return float(value)
+def _check_cf(value):
+    """``value`` if every entry lies in [-1, 1]; a scalar comes back a float."""
+    values = np.asarray(value, dtype=float)
+    inside = (values >= -1.0 - _BOUND_SLACK) & (values <= 1.0 + _BOUND_SLACK)
+    if not inside.all():
+        bad = float(values[~inside].flat[0])
+        raise AssertionError(f"characteristic function left [-1, 1]: {bad!r}")
+    return float(value) if values.ndim == 0 else values
 
 
 def distance_cf(s, n_particles: int, offsets: OffsetDistribution):
@@ -95,16 +99,18 @@ def distance_pdf(y, n_particles: int, sigma: float, eps: float = 1e-10):
     r = (n_particles - 2) / (n_particles - 1)
     y = np.asarray(y, dtype=float)
     flat = y.ravel()
-    out = np.zeros_like(flat)
+    out = np.empty_like(flat)
     ks = np.arange(1, kmax + 1)
     log_w = ks * math.log(r) - math.log(n_particles - 2)
     var = ks * sigma * sigma / n_particles
-    chunk = max(1, 4_000_000 // max(flat.size, 1))
-    for start in range(0, kmax, chunk):
-        v = var[start : start + chunk]
-        lw = log_w[start : start + chunk]
-        z = flat[:, None] ** 2 / (2.0 * v[None, :])
-        out += np.exp(lw[None, :] - z).dot(1.0 / np.sqrt(2.0 * math.pi * v))
+    norm = 1.0 / np.sqrt(2.0 * math.pi * var)
+    # whole mixture rows per block, each summed on its own, so a point's
+    # value does not depend on the grid it is evaluated on
+    rows = max(1, 4_000_000 // kmax)
+    for start in range(0, flat.size, rows):
+        block = flat[start : start + rows]
+        z = block[:, None] ** 2 / (2.0 * var[None, :])
+        out[start : start + rows] = (np.exp(log_w[None, :] - z) * norm).sum(axis=1)
     return out.reshape(y.shape)[()]
 
 
@@ -157,14 +163,25 @@ def distance_pair_pdf_three(
 # only ever add multipliers, and integer sums are exact, whereas float sums of
 # equal arguments depend on their order and would split one lattice point
 # over several memo keys.
+#
+# The lattice states and their weights do not depend on the base; only
+# xi(m * base) and the denominator do, and the arithmetic is elementwise. So a
+# grid of bases is walked once, with numpy arrays over the grid points as the
+# memo's values, in blocks of GRID_BLOCK points so the memo's memory is
+# bounded by the block, not by the grid. A single point keeps Python floats.
 # ---------------------------------------------------------------------------
 
+# grid points per lattice walk: the memo holds one array this long per state
+GRID_BLOCK = 1024
 
-def _joint_cf(mults: tuple, xi_at, den_at, memo: dict) -> float:
+
+def _joint_cf(mults: tuple, xi_at, den_at, memo: dict):
     """Joint CF at the sorted multiplier tuple ``mults``.
 
     ``xi_at(m)`` is the offset CF at multiplier m; ``den_at(mults, xi_sum)``
     is the recursion's denominator, given xi_sum = xi(sum) + sum of xi(m).
+    Values are floats, or arrays over grid points that ``memo`` and ``xi_at``
+    share, so none is ever updated in place.
     """
     if not mults:
         return 1.0
@@ -182,7 +199,7 @@ def _joint_cf(mults: tuple, xi_at, den_at, memo: dict) -> float:
     num = 0.0
     for a, (v, cv, i) in enumerate(groups):
         xv = xi_at(v)
-        xi_sum += cv * xv
+        xi_sum = xi_sum + cv * xv
         rest = mults[:i] + mults[i + 1 :]
         num += cv * (xv + xi_tot) * _joint_cf(rest, xi_at, den_at, memo)
         if cv > 1:
@@ -204,11 +221,33 @@ def _insert(parts: tuple, value) -> tuple:
 
 def _multipliers(coords: tuple[float, ...]) -> tuple[tuple, float]:
     """(multipliers, base) for the arguments: the integer lattice (1, ..., 1)
-    when all are equal and nonzero, else the sorted floats with base 1.0."""
+    when all are equal, else the sorted floats with base 1.0."""
     first = coords[0]
-    if first != 0.0 and all(c == first for c in coords):
+    if all(c == first for c in coords):
         return (1,) * len(coords), first
     return tuple(sorted(coords)), 1.0
+
+
+def _walk(coords: np.ndarray, walk):
+    """``walk(mults, base)`` at ``coords``, bound-checked.
+
+    ``coords`` of shape (k,) is one point, which gives a float. Shape (k, P)
+    with equal rows is the lattice (1, ..., 1) at each of the P bases in a
+    row, which gives an array of P values, walked once per GRID_BLOCK points.
+    """
+    if coords.ndim == 1:
+        return _check_cf(walk(*_multipliers(tuple(coords.tolist()))))
+    if coords.ndim != 2 or not (coords == coords[:1]).all():
+        raise ValueError(
+            f"grid arguments need shape (k, P) with equal rows, got shape {coords.shape}"
+        )
+    mults = (1,) * len(coords)
+    bases = coords[0]
+    out = np.empty(bases.shape)
+    for start in range(0, bases.size, GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        out[block] = walk(mults, bases[block])
+    return _check_cf(out)
 
 
 def _require_cap(value: int, cap: int, what: str) -> None:
@@ -225,13 +264,15 @@ def distances_joint_cf(
     offsets: OffsetDistribution,
     *,
     cap: int = DEFAULT_CAP,
-) -> float:
+) -> float | np.ndarray:
     """Joint CF of k inter-particle distances at the given arguments.
 
     Requires k < n_particles. Equal arguments are routed through the integer
     lattice recursion, which is what makes diagonal evaluations cheap.
+    ``coords`` is one point of k arguments, or a (k, P) grid of P equal-
+    argument points, evaluated together (see ``_walk``).
     """
-    coords = tuple(float(c) for c in np.atleast_1d(np.asarray(coords, dtype=float)))
+    coords = np.atleast_1d(np.asarray(coords, dtype=float))
     k = len(coords)
     if n_particles < 2:
         raise ValueError(f"n_particles must be >= 2, got {n_particles}")
@@ -242,72 +283,94 @@ def distances_joint_cf(
     _require_cap(k, cap, "k")
     if k == 0:
         return 1.0
-    mults, base = _multipliers(coords)
-    xi: dict = {}
 
-    def xi_at(m) -> float:
-        try:
-            return xi[m]
-        except KeyError:
-            # a Python float keeps the recursion's arithmetic off numpy scalars
-            val = xi[m] = float(offsets.cf_scaled(m * base, n_particles))
-            return val
-
-    def den_at(parts: tuple, xi_sum: float) -> float:
+    def den_at(parts: tuple, xi_sum):
         k = len(parts)
         return (k + 1) * (n_particles - 1) + (k + 1 - n_particles) * xi_sum
 
-    return _check_cf(_joint_cf(mults, xi_at, den_at, {}))
+    def walk(mults: tuple, base):
+        grid = isinstance(base, np.ndarray)
+        xi: dict = {}
+
+        def xi_at(m):
+            try:
+                return xi[m]
+            except KeyError:
+                val = offsets.cf_scaled(m * base, n_particles)
+                # a point keeps the recursion's arithmetic on Python floats
+                val = xi[m] = val if grid else float(val)
+                return val
+
+        return _joint_cf(mults, xi_at, den_at, {})
+
+    return _walk(coords, walk)
 
 
-def distances_joint_cf_limit(coords, sigma: float, *, cap: int = DEFAULT_CAP) -> float:
-    """Large-population limit of the joint CF of k inter-particle distances."""
+def distances_joint_cf_limit(
+    coords, sigma: float, *, cap: int = DEFAULT_CAP
+) -> float | np.ndarray:
+    """Large-population limit of the joint CF of k inter-particle distances;
+    ``coords`` as in ``distances_joint_cf``."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    coords = tuple(float(c) for c in np.atleast_1d(np.asarray(coords, dtype=float)))
+    coords = np.atleast_1d(np.asarray(coords, dtype=float))
     k = len(coords)
     _require_cap(k, cap, "k")
     if k == 0:
         return 1.0
-    mults, base = _multipliers(coords)
-    sb = sigma * base
-    half_sb2 = 0.5 * sb * sb
 
-    def den_at(parts: tuple, _xi_sum: float) -> float:
-        k = len(parts)
-        total = sum(parts)
-        return k * (k + 1) + half_sb2 * (sum(m * m for m in parts) + total * total)
+    def walk(mults: tuple, base):
+        sb = sigma * base
+        half_sb2 = 0.5 * sb * sb
 
-    return _check_cf(_joint_cf(mults, lambda m: 1.0, den_at, {}))
+        def den_at(parts: tuple, _xi_sum):
+            k = len(parts)
+            total = sum(parts)
+            return k * (k + 1) + half_sb2 * (sum(m * m for m in parts) + total * total)
+
+        return _joint_cf(mults, lambda m: 1.0, den_at, {})
+
+    return _walk(coords, walk)
+
+
+def _diagonal(s, n_particles: int) -> np.ndarray:
+    """The n - 1 equal arguments s/n: shape (n-1,) for a point s, (n-1, P)
+    for a grid of P points."""
+    s = np.asarray(s, dtype=float)
+    return np.broadcast_to(s / n_particles, (n_particles - 1, *s.shape))
 
 
 def particle_cf(
-    s: float,
+    s,
     n_particles: int,
     offsets: OffsetDistribution,
     *,
     cap: int = DEFAULT_CAP,
-) -> float:
+) -> float | np.ndarray:
     """CF of the stationary renormalised single-particle position: the
-    diagonal evaluation of the joint distance CF at (s/n, ..., s/n)."""
+    diagonal evaluation of the joint distance CF at (s/n, ..., s/n).
+
+    A point s gives a float, a 1-D grid of s an array.
+    """
     if n_particles < 2:
         raise ValueError(f"n_particles must be >= 2, got {n_particles}")
     _require_cap(n_particles, cap, "n")
-    coords = (float(s) / n_particles,) * (n_particles - 1)
+    coords = _diagonal(s, n_particles)
     # the module-global name, so a rebinding (as a tracer does) sees this call
     return distances_joint_cf(coords, n_particles, offsets, cap=n_particles)
 
 
 def particle_cf_limit(
-    s: float, n_particles: int, sigma: float, *, cap: int = DEFAULT_CAP
-) -> float:
+    s, n_particles: int, sigma: float, *, cap: int = DEFAULT_CAP
+) -> float | np.ndarray:
     """Diagonal of the limit recursion at (s/n, ..., s/n); as n grows this
     family converges pointwise to the CF of the limiting single-particle law.
+    A point s gives a float, a 1-D grid of s an array.
     """
     if n_particles < 2:
         raise ValueError(f"n_particles must be >= 2, got {n_particles}")
     _require_cap(n_particles, cap, "n")
-    coords = (float(s) / n_particles,) * (n_particles - 1)
+    coords = _diagonal(s, n_particles)
     return distances_joint_cf_limit(coords, sigma, cap=n_particles)
 
 

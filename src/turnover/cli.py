@@ -11,7 +11,6 @@ shortest round-trip float representation.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import functools
 import hashlib
@@ -43,16 +42,16 @@ from .simulator import SimConfig, run
 
 OUT_DIR_ENV = "TURNOVER_OUT_DIR"
 
-# mode -> (needs --n, needs --k, evaluated point by point by a recursion)
+# mode -> (needs --n, needs --k)
 CF_MODES = {
-    "psiN": (True, False, False),
-    "psiNk": (True, True, True),
-    "psiInfK": (False, True, True),
-    "phiN": (True, False, True),
-    "gammaN": (True, False, True),
-    "laplaceCF": (False, False, False),
-    "laplacePdf": (False, False, False),
-    "muNpdf": (True, False, False),
+    "psiN": (True, False),
+    "psiNk": (True, True),
+    "psiInfK": (False, True),
+    "phiN": (True, False),
+    "gammaN": (True, False),
+    "laplaceCF": (False, False),
+    "laplacePdf": (False, False),
+    "muNpdf": (True, False),
 }
 
 DEFAULT_MOMENT_TOL = {2: 0.05, 4: 0.10, 6: 0.25, 8: 0.60}
@@ -178,6 +177,12 @@ def _parse_tols(text: str) -> dict[int, float]:
             raise CliError(f"bad tolerance item {item!r}: tolerances must be finite and >= 0")
         tols[order] = tol
     return tols
+
+
+def _check_eps(eps: float) -> None:
+    # the mixture's discarded mass, checked whether or not the mode draws one
+    if not 0 < eps < 1:
+        raise CliError(f"--eps must be in (0, 1), got {eps!r}")
 
 
 # ---------------------------------------------------------------------- simulate
@@ -309,9 +314,9 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
 def _cf_values(
     mode: str, n: int | None, k: int | None, offsets: OffsetDistribution,
     cap: int, eps: float, points: np.ndarray,
-) -> np.ndarray | list[float]:
-    """Values of ``mode`` on ``points``: vectorised modes take the whole grid,
-    recursive modes are evaluated point by point."""
+) -> np.ndarray:
+    """Values of ``mode`` on ``points``; every evaluator takes the whole grid,
+    the recursive ones walk their memo once for it."""
     # the evaluators are looked up by name at call time, so rebinding them
     # (as a tracer does) reaches this dispatch
     sigma = offsets.sigma
@@ -323,46 +328,33 @@ def _cf_values(
         return laplace_pdf(points, sigma)
     if mode == "muNpdf":
         return distance_pdf(points, n, sigma, eps)
-    grid = points.tolist()
-    if mode == "psiNk":
-        return [distances_joint_cf((s,) * k, n, offsets, cap=cap) for s in grid]
-    if mode == "psiInfK":
-        return [distances_joint_cf_limit((s,) * k, sigma, cap=cap) for s in grid]
     if mode == "phiN":
-        return [particle_cf(s, n, offsets, cap=cap) for s in grid]
-    return [particle_cf_limit(s, n, sigma, cap=cap) for s in grid]
+        return particle_cf(points, n, offsets, cap=cap)
+    if mode == "gammaN":
+        return particle_cf_limit(points, n, sigma, cap=cap)
+    # the all-equal k-tuple at each grid point
+    lattice = np.broadcast_to(points, (k, points.size))
+    if mode == "psiNk":
+        return distances_joint_cf(lattice, n, offsets, cap=cap)
+    return distances_joint_cf_limit(lattice, sigma, cap=cap)
 
 
 def cmd_cf(args: argparse.Namespace) -> CommandResult:
     mode = args.mode
     points = _parse_grid(args.grid)
     sigma = args.sigma
-    needs_n, needs_k, recursive = CF_MODES[mode]
+    needs_n, needs_k = CF_MODES[mode]
     if needs_n and args.n is None:
         raise CliError(f"--n is required for mode {mode}")
     if needs_k and args.k is None:
         raise CliError(f"--k is required for mode {mode}")
     if needs_k and args.k < 1:
         raise CliError(f"--k must be >= 1, got {args.k}")
-    if args.threads < 1:
-        raise CliError(f"--threads must be >= 1, got {args.threads}")
-    # validated here, so a bad --sigma fails before any worker is forked
+    _check_eps(args.eps)
     offsets = from_name(args.offset, sigma)
-    evaluate = functools.partial(
-        _cf_values, mode, args.n, args.k, offsets, args.cap, args.eps
-    )
-    # only recursive modes are split: distance_pdf chunks the grid internally,
-    # so a split grid would change its bits
-    if recursive and args.threads > 1:
-        chunks = np.array_split(points, min(args.threads * 4, len(points)))
-        # fork starts every worker at once, so never more than can run
-        workers = min(args.threads, len(chunks), os.cpu_count() or 1)
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            values = [v for part in pool.map(evaluate, chunks) for v in part]
-    else:
-        values = evaluate(points)
+    values = _cf_values(mode, args.n, args.k, offsets, args.cap, args.eps, points)
 
-    pairs = list(zip(points.tolist(), np.asarray(values, dtype=float).tolist()))
+    pairs = list(zip(points.tolist(), values.tolist()))
     out = _resolve(args.out)
     if args.format == "json":
         _write_json(
@@ -406,6 +398,7 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         raise CliError(
             f"--ks-threshold must be finite and >= 0, got {args.ks_threshold!r}"
         )
+    _check_eps(args.eps)
     summary = _read_summary(args.summary)
     cfg = summary.config
     if not cfg:
@@ -611,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     cf.add_argument("--grid", required=True, help="start:stop:count, endpoints inclusive")
     cf.add_argument("--eps", type=float, default=1e-10)
     cf.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    cf.add_argument("--threads", type=int, default=1)
     cf.add_argument("--format", default="csv", choices=["json", "csv"])
 
     cmp_ = command("compare", help="empirical summary vs analytic references")

@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,10 +133,85 @@ def test_scalar_and_array_evaluation_agree_bitwise(make):
     }
     if dist.kind != offsets.TWO_POINT:
         evaluators["pdf"] = (dist.pdf, GRID_FINE * SIGMA / 10)
+    if dist.kind == offsets.GAUSSIAN:
+        evaluators["distance_pdf"] = (
+            lambda y: charfn.distance_pdf(y, 100, SIGMA), GRID_FINE / 100
+        )
     for name, (evaluate, points) in evaluators.items():
         scalars = [evaluate(x) for x in points.tolist()]
         assert all(type(v) is np.float64 for v in scalars), name
         assert np.array(scalars).tobytes() == evaluate(points).tobytes(), name
+
+
+def _grid_evaluators(dist):
+    """(name, grid call, point call) of every lattice evaluator."""
+    def joint(s, k):
+        return charfn.distances_joint_cf(np.broadcast_to(s, (k, np.size(s))), 30, dist)
+
+    def joint_limit(s, k):
+        return charfn.distances_joint_cf_limit(np.broadcast_to(s, (k, np.size(s))), SIGMA)
+
+    return [
+        ("particle_cf", lambda s: charfn.particle_cf(s, 7, dist),
+         lambda s: charfn.particle_cf(s, 7, dist)),
+        ("particle_cf_limit", lambda s: charfn.particle_cf_limit(s, 9, SIGMA),
+         lambda s: charfn.particle_cf_limit(s, 9, SIGMA)),
+        ("distances_joint_cf", lambda s: joint(s, 5),
+         lambda s: charfn.distances_joint_cf((s,) * 5, 30, dist)),
+        ("distances_joint_cf_limit", lambda s: joint_limit(s, 6),
+         lambda s: charfn.distances_joint_cf_limit((s,) * 6, SIGMA)),
+    ]
+
+
+@pytest.mark.parametrize("block", [charfn.GRID_BLOCK, 3], ids=["block", "block3"])
+@pytest.mark.parametrize(
+    "make", [offsets.gaussian, offsets.uniform, offsets.two_point],
+    ids=["gaussian", "uniform", "two_point"],
+)
+def test_grid_walk_equals_pointwise_bitwise(make, block, monkeypatch):
+    # one memo walk over the grid gives each point the bits of its own walk,
+    # also across block seams (101 points in blocks of 3)
+    monkeypatch.setattr(charfn, "GRID_BLOCK", block)
+    dist = make(SIGMA)
+    for name, grid_call, point_call in _grid_evaluators(dist):
+        values = grid_call(GRID)
+        points = [point_call(s) for s in GRID.tolist()]
+        assert all(type(v) is float for v in points), name
+        assert values.shape == GRID.shape, name
+        assert values.tobytes() == np.array(points).tobytes(), name
+        assert values[50] == 1.0, name  # s = 0 is exactly 1
+
+
+def test_grid_arguments_need_equal_rows():
+    unequal = np.array([[1.0, 2.0, 3.0], [1.0, 2.5, 3.0]])
+    with pytest.raises(ValueError, match="equal rows"):
+        charfn.distances_joint_cf(unequal, 10, GAUSS)
+    with pytest.raises(ValueError, match="equal rows"):
+        charfn.distances_joint_cf_limit(unequal, SIGMA)
+    with pytest.raises(ValueError, match="shape"):
+        charfn.particle_cf(np.ones((2, 2)), 5, GAUSS)
+
+
+def test_grid_bound_check_reports_the_offending_entry():
+    assert charfn._check_cf(np.array([0.5, -1.0, 1.0])).tolist() == [0.5, -1.0, 1.0]
+    with pytest.raises(AssertionError, match=r"left \[-1, 1\]: 1.5"):
+        charfn._check_cf(np.array([0.5, 1.5, -2.0]))
+    with pytest.raises(AssertionError, match="nan"):
+        charfn._check_cf(np.array([0.5, math.nan]))
+
+
+def test_grid_walk_memory_is_bounded_by_the_block():
+    # the memo holds one array per lattice state; unblocked, a 100k-point
+    # n=12 grid peaks near 170 MB, in blocks of GRID_BLOCK points near 3.4 MB
+    grid = np.linspace(-50.0, 50.0, 100_000)
+    tracemalloc.start()
+    try:
+        values = charfn.particle_cf(grid, 12, GAUSS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == grid.shape
+    assert peak < 16e6
 
 
 def test_joint_cf_k1_equals_distance_cf():

@@ -136,13 +136,24 @@ def test_cf_errors(tmp_path, capsys):
             "cf", "--mode", mode, *extra, "--sigma", 0.1, "--grid", "0:1:2", "--out", out,
         ) == 2
         assert "--k must be >= 1" in capsys.readouterr().err
-    # eps is the mixture's discarded mass, so it lies in (0, 1)
-    for eps in ("inf", "2", "1", "0", "nan"):
-        assert run_cli(
-            "cf", "--mode", "muNpdf", "--n", 100, "--sigma", 0.1, "--eps", eps,
-            "--grid", "0:1:2", "--out", out,
-        ) == 2
-        assert "eps must be in (0, 1)" in capsys.readouterr().err
+    # eps is the mixture's discarded mass, so it lies in (0, 1), and it is
+    # checked for every mode, also those that draw no mixture
+    for mode, extra in (("muNpdf", ["--n", 100]), ("psiN", ["--n", 100]),
+                        ("phiN", ["--n", 5]), ("psiInfK", ["--k", 2])):
+        for eps in ("inf", "2", "5", "1", "0", "nan"):
+            assert run_cli(
+                "cf", "--mode", mode, *extra, "--sigma", 0.1, "--eps", eps,
+                "--grid", "0:1:3", "--out", out,
+            ) == 2
+            assert "eps must be in (0, 1)" in capsys.readouterr().err
+    # --threads is gone: argparse rejects it as an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "cf", "--mode", "phiN", "--n", 5, "--sigma", 0.1, "--grid", "0:1:3",
+            "--threads", 2, "--out", out,
+        )
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
     # non-finite grid ends are rejected up front, not by an evaluator
     for mode, grid in (("phiN", "0:nan:3"), ("psiN", "0:inf:3"), ("psiN", "-inf:0:3")):
         assert run_cli(
@@ -153,58 +164,27 @@ def test_cf_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "mode, extra",
+    "mode, extra, evaluate",
     [
-        ("psiInfK", ["--k", 3]),
-        ("psiNk", ["--n", 20, "--k", 4, "--offset", "two-point"]),
-        ("phiN", ["--n", 5, "--offset", "uniform"]),
-        ("gammaN", ["--n", 8]),
-        ("muNpdf", ["--n", 100]),  # vectorised: --threads is ignored
+        ("psiInfK", ["--k", 3], lambda s: charfn.distances_joint_cf_limit((s,) * 3, 0.1)),
+        ("psiNk", ["--n", 20, "--k", 4, "--offset", "two-point"],
+         lambda s: charfn.distances_joint_cf((s,) * 4, 20, offsets.two_point(0.1))),
+        ("phiN", ["--n", 5, "--offset", "uniform"],
+         lambda s: charfn.particle_cf(s, 5, offsets.uniform(0.1))),
+        ("gammaN", ["--n", 8], lambda s: charfn.particle_cf_limit(s, 8, 0.1)),
+        ("muNpdf", ["--n", 100], lambda s: charfn.distance_pdf(s, 100, 0.1)),
     ],
     ids=["psiInfK", "psiNk", "phiN", "gammaN", "muNpdf"],
 )
-def test_cf_threads_match_sequential(tmp_path, mode, extra):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    common = ["cf", "--mode", mode, *extra, "--sigma", 0.1, "--grid", "-20:20:9"]
-    assert run_cli(*common, "--threads", 1, "--out", a) == 0
-    assert run_cli(*common, "--threads", 2, "--out", b) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_cf_threads_bound(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "t.csv"
-    common = ["cf", "--mode", "gammaN", "--n", 4, "--sigma", 0.1, "--grid", "0:10:5"]
-    for threads in (0, -3):
-        assert run_cli(*common, "--threads", threads, "--out", out) == 2
-        assert "--threads" in capsys.readouterr().err
-    assert not out.exists()
-
-    workers = []
-
-    class SerialPool:
-        # records the pool size and maps in this process: no worker starts
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    assert run_cli(*common, "--threads", 1000, "--out", out) == 0
-    assert workers == [5]  # one chunk per grid point
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    assert run_cli(*common, "--threads", 1000, "--out", out) == 0
-    assert workers == [5, 3]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert run_cli(*common, "--threads", 1000, "--out", out) == 0
-    assert workers == [5, 3, 1]
+def test_cf_grid_matches_pointwise(tmp_path, mode, extra, evaluate):
+    # the whole grid in one evaluation writes what one call per point gives
+    out = tmp_path / "grid.json"
+    assert run_cli(
+        "cf", "--mode", mode, *extra, "--sigma", 0.1, "--grid", "-20:20:9",
+        "--format", "json", "--out", out,
+    ) == 0
+    points = read_json(out)["points"]
+    assert [p["value"] for p in points] == [float(evaluate(p["s"])) for p in points]
 
 
 def test_simulate_canonical_distance_run(tmp_path):
@@ -361,12 +341,28 @@ def test_compare_validates_flags(tmp_path, capsys):
         (["--ks-threshold", "inf"], "--ks-threshold"),
         (["--ks-threshold", -0.01], "--ks-threshold"),
         (["--eps", 2], "eps must be in (0, 1)"),
+        (["--eps", 5], "eps must be in (0, 1)"),
+        (["--eps", 0], "eps must be in (0, 1)"),
+        (["--eps", "nan"], "eps must be in (0, 1)"),
     ):
         assert run_cli(
             "compare", "--summary", summary, "--sigma", 0.1, "--n", 5, *flags,
             "--out", report,
         ) == 2
         assert message in capsys.readouterr().err
+    assert not report.exists()
+    # a positions summary draws no mixture, and still gets its --eps checked
+    positions = tmp_path / "p.json"
+    assert run_cli(
+        "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 1000,
+        "--seed", 4, "--observe", "positions", "--out", positions,
+    ) == 0
+    for eps in ("5", "0", "nan"):
+        assert run_cli(
+            "compare", "--summary", positions, "--sigma", 0.1, "--n", 5,
+            "--eps", eps, "--out", report,
+        ) == 2
+        assert "eps must be in (0, 1)" in capsys.readouterr().err
     assert not report.exists()
     assert run_cli(
         "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 100,
