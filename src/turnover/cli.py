@@ -2,10 +2,11 @@
 empirical-vs-analytic comparison reports, all as plot-ready CSV/JSON.
 
 Every command writes a run manifest next to its outputs (config echo, seed,
-code version, timestamps, content digests). Payload files themselves carry no
-timestamps, so rerunning a command with the same flags and seed reproduces
-them byte for byte. JSON is the canonical format; CSV cells use Python's
-shortest round-trip float representation.
+code version, python / numpy / platform versions, timestamps, content
+digests). Payload files themselves carry no timestamps, so rerunning a
+command with the same flags and seed reproduces them byte for byte. JSON is
+the canonical format; CSV cells use Python's shortest round-trip float
+representation.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import gc
 import hashlib
 import json
 import math
 import os
+import platform
 import sys
 from fractions import Fraction
 
@@ -104,6 +107,21 @@ def _utcnow() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _environment() -> dict:
+    """What a byte-identical rerun depends on besides the flags and seed. On
+    Linux the platform string is ``platform.platform()``'s, built without the
+    processor field that it gets from ``uname -p`` in a subprocess."""
+    libc = "".join(platform.libc_ver())
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": "-".join(
+            [platform.system(), platform.release(), platform.machine()]
+            + ([f"with-{libc}"] if libc else [])
+        ),
+    }
+
+
 def _write_manifest(
     path: str,
     command: str,
@@ -122,6 +140,7 @@ def _write_manifest(
             "config": config,
             "seed": seed,
             "code_version": __version__,
+            "environment": _environment(),
             "started_utc": started,
             "finished_utc": _utcnow(),
             "outputs": [
@@ -647,6 +666,10 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # numpy's and the package's objects live until exit; frozen once, they
+    # are skipped by the collections the interpreter runs at shutdown
+    if not gc.get_freeze_count():
+        gc.freeze()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(_merge_dash_values(argv))

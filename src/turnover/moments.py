@@ -16,15 +16,22 @@ Equal parts give equal terms, so the sums run over the distinct part values v
 with multiplicities c_v: merging two copies of v counts c_v (c_v - 1) times
 and merging v with another value w counts 2 c_v c_w times; the first sigma^2
 sum becomes C(c_v, 2) v^2 and c_v c_w v w terms, the second c_v v (v - 1)
-terms. A step then costs d^2 lookups in the number d of distinct values
+terms. An entry then costs d^2 lookups in the number d of distinct values
 instead of k^2.
 
-Everything here is exact: coefficients are ``fractions.Fraction`` multiples
-of sigma^{order}, never floats. Walking each order's partitions in canonical
-(decreasing lexicographic) order is a valid dependency schedule: merging two
-parts yields a partition that dominates, hence precedes, the current one,
-and the sigma^2 terms live two orders down. A missing table entry therefore
-signals an ordering bug, not a user error.
+Everything here is exact: coefficients are rational multiples of
+sigma^{order}, never floats. Odd orders vanish (the recursion only mixes
+orders of equal parity and the odd seeds are 0), so only even orders are
+built. At even order n a k-part entry reads (k-1)-part entries of order n
+(merges) and entries of order n - 2 (lowerings), so the table is built one
+level (n, k) at a time, k = 1, ..., n. A level holds integer numerators over
+one shared denominator: the LCM of its dependency levels' denominators times
+k(k+1), reduced once by the gcd over the level. A partition with
+multiplicities c_v is keyed by the integer K = sum_v c_v B^v with
+B = max_order + 1, so no carry happens and each lookup is integer
+arithmetic: merging one v into one w gives K - B^v - B^w + B^(v+w), lowering
+one v gives K - B^v + B^(v-1), and a part that reaches 0 drops out. A
+missing dependency therefore signals a scheduling bug, not a user error.
 """
 
 from __future__ import annotations
@@ -38,17 +45,44 @@ Partition = tuple[int, ...]
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """Partitions of n in canonical order: (n) first, (1, ..., 1) last."""
+    """Partitions of n in canonical order: (n) first, (1, ..., 1) last.
+
+    Iterative, by algorithm ZS1 (Zoghbi & Stojmenovic 1998): ``x`` holds the
+    current partition's ``m`` parts padded with ones, and ``h`` indexes its
+    last part above 1, which each step lowers."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first, *rest)
+    top = n if max_part is None else min(max_part, n)
+    if top < 1:
+        return
+    q, rem = divmod(n, top)
+    x = [top] * q + [rem] * (rem > 0)
+    m = len(x)
+    h = sum(1 for v in x if v > 1) - 1
+    x += [1] * (n - m)
+    yield tuple(x[:m])
+    while x[0] != 1:
+        if x[h] == 2:
+            m += 1
+            x[h] = 1
+            h -= 1
+            yield tuple(x[:m])
+            continue
+        r = x[h] - 1
+        t = m - h
+        x[h] = r
+        while t >= r:
+            h += 1
+            x[h] = r
+            t -= r
+        m = h + 1 + (t > 0)
+        if t > 1:
+            h += 1
+            x[h] = t
+        yield tuple(x[:m])
 
 
 def prune(multi_index: Iterable[int]) -> Partition:
@@ -67,62 +101,73 @@ def phi_base(order: int) -> Fraction:
     return Fraction((-1) ** half * math.factorial(order), 2**half)
 
 
-def recursion_step(parts: Partition, coefficients: Mapping[Partition, Fraction]) -> Fraction:
-    """One application of the derivative recursion at a strictly positive
-    partition, reading dependencies from ``coefficients``."""
-    k = len(parts)
-    if k == 0 or any(p <= 0 for p in parts):
-        raise ValueError("recursion_step needs a nonempty strictly positive partition")
-
-    def lookup(*edits: tuple[int, int]) -> Fraction:
-        # replace one copy of each old value by its new value; which copy
-        # does not matter, the result is pruned to a partition
-        out = list(parts)
-        for old, new in edits:
-            out[out.index(old)] = new
-        key = prune(out)
+def _level_sums(level: Iterable[Partition], deps: Mapping[int, int], base: int) -> dict[int, int]:
+    """k(k+1) times the recursion's value at each partition of ``level``, keyed
+    by its packed key, with the dependencies read from ``deps`` (packed key ->
+    numerator over one denominator shared by all of them)."""
+    powers = [base**v for v in range(base)]
+    # B^(v-1) and B^(v-2), or 0 where the lowered part drops out
+    down1 = [0, 0, *powers[1:-1]]
+    down2 = [0, 0, 0, *powers[1:-2]]
+    sums = {}
+    for parts in level:
+        if not parts or min(parts) <= 0:
+            raise ValueError(f"the recursion needs a nonempty positive partition, got {parts}")
+        groups = [(v, len(list(run))) for v, run in itertools.groupby(parts)]
+        key = sum(c * powers[v] for v, c in groups)
+        total = 0
         try:
-            return coefficients[key]
-        except KeyError:
+            for a, (v, cv) in enumerate(groups):
+                pv = powers[v]
+                if cv > 1:
+                    total += cv * (cv - 1) * deps[key - 2 * pv + powers[2 * v]]
+                    total -= cv * (cv - 1) // 2 * v * v * deps[key - 2 * (pv - down1[v])]
+                if v > 1:
+                    total -= cv * v * (v - 1) * deps[key - pv + down2[v]]
+                lowered = key - pv + down1[v]
+                for w, cw in groups[a + 1 :]:
+                    pw = powers[w]
+                    total += 2 * cv * cw * deps[key - pv - pw + powers[v + w]]
+                    total -= cv * cw * v * w * deps[lowered - pw + down1[w]]
+        except KeyError as exc:
             raise RuntimeError(
-                f"internal error: dependency {key} of {parts} missing; "
-                f"the canonical-order schedule is broken"
+                f"internal error: dependency with key {exc.args[0]} of {parts} missing; "
+                f"the level schedule is broken"
             ) from None
-
-    groups = [(v, sum(1 for _ in run)) for v, run in itertools.groupby(parts)]
-    total = Fraction(0)
-    for a, (v, cv) in enumerate(groups):
-        if cv > 1:
-            total += cv * (cv - 1) * lookup((v, 2 * v), (v, 0))
-            total -= cv * (cv - 1) // 2 * v * v * lookup((v, v - 1), (v, v - 1))
-        if v > 1:
-            total -= cv * v * (v - 1) * lookup((v, v - 2))
-        for w, cw in groups[a + 1 :]:
-            total += 2 * cv * cw * lookup((v, v + w), (w, 0))
-            total -= cv * cw * v * w * lookup((v, v - 1), (w, w - 1))
-    return total / (k * (k + 1))
+        sums[key] = total
+    return sums
 
 
 class PhiTable:
     """Derivatives of the limit joint CF at 0, keyed by canonical partition.
 
-    Values are the rational coefficients of sigma^{order}; odd orders are
-    identically zero because the recursion only ever mixes orders of equal
-    parity and the odd seeds vanish.
+    Values are the rational coefficients of sigma^{order}. Each is built as a
+    ``Fraction`` when it is read; odd orders read as 0.
     """
 
-    def __init__(self, coefficients: dict[Partition, Fraction], max_order: int):
-        self._coefficients = coefficients
+    def __init__(self, levels: dict[tuple[int, int], tuple[int, dict[int, int]]], max_order: int):
+        # (order, part count) -> (denominator, packed key -> numerator)
+        self._levels = levels
         self.max_order = max_order
+        self._powers = [(max_order + 1) ** v for v in range(max_order + 1)]
+
+    def _read(self, parts: Partition) -> Fraction:
+        order = sum(parts)
+        if order % 2:
+            return Fraction(0)
+        den, nums = self._levels[order, len(parts)]
+        return Fraction(nums[sum(self._powers[v] for v in parts)], den)
 
     def coefficient(self, parts: Iterable[int]) -> Fraction:
         key = prune(parts)
+        if key and key[-1] < 0:
+            raise ValueError(f"partition {key} has a negative part")
         if sum(key) > self.max_order:
             raise ValueError(
                 f"partition {key} of order {sum(key)} exceeds table max_order "
                 f"{self.max_order}"
             )
-        return self._coefficients[key]
+        return self._read(key)
 
     def moment(self, k: int) -> Fraction:
         """Exact k-th moment of the limiting single-particle law, as the
@@ -131,34 +176,39 @@ class PhiTable:
             raise ValueError("moment order must be >= 1")
         if k > self.max_order:
             raise ValueError(f"order {k} exceeds table max_order {self.max_order}")
-        if k % 2:
-            return Fraction(0)
-        return (-1) ** (k // 2) * self._coefficients[(1,) * k]
+        return (-1) ** (k // 2) * self._read((1,) * k)
 
     def items_in_order(self) -> Iterator[tuple[Partition, Fraction]]:
+        """Every partition of 0..max_order in canonical order, with its value."""
         for n in range(self.max_order + 1):
             for parts in partitions(n):
-                yield parts, self._coefficients[parts]
+                yield parts, self._read(parts)
 
 
 def build_phi_table(max_order: int) -> PhiTable:
-    """Build the derivative table for all partitions of order <= max_order.
-
-    Each even order is seeded at the single-part partition and then walked in
-    canonical order, which keeps every dependency already computed.
-    """
+    """Build the derivative table for all partitions of order <= max_order,
+    one level (even order n, part count k) at a time."""
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    coefficients: dict[Partition, Fraction] = {(): Fraction(1)}
-    zero = Fraction(0)
-    for n in range(1, max_order + 1):
-        if n % 2:
-            for parts in partitions(n):
-                coefficients[parts] = zero
-            continue
+    base = max_order + 1
+    levels = {(0, 0): (1, {0: 1})}
+    for n in range(2, max_order + 1, 2):
+        by_count: list[list[Partition]] = [[] for _ in range(n + 1)]
         for parts in partitions(n):
-            if len(parts) == 1:
-                coefficients[parts] = phi_base(n)
-            else:
-                coefficients[parts] = recursion_step(parts, coefficients)
-    return PhiTable(coefficients, max_order)
+            by_count[len(parts)].append(parts)
+        levels[n, 1] = (1, {base**n: phi_base(n).numerator})
+        for k in range(2, n + 1):
+            dep_levels = [
+                levels[lv] for lv in ((n, k - 1), (n - 2, k), (n - 2, k - 1), (n - 2, k - 2))
+                if lv in levels
+            ]
+            common = math.lcm(*(den for den, _ in dep_levels))
+            deps = {}
+            for den, nums in dep_levels:
+                scale = common // den
+                deps.update((key, num * scale) for key, num in nums.items())
+            sums = _level_sums(by_count[k], deps, base)
+            den = common * k * (k + 1)
+            g = math.gcd(den, *sums.values())
+            levels[n, k] = (den // g, {key: s // g for key, s in sums.items()})
+    return PhiTable(levels, max_order)

@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import subprocess
 import sys
 
@@ -230,6 +231,12 @@ def test_simulate_deterministic_and_manifest(tmp_path):
 
     digest = hashlib.sha256(out1.read_bytes()).hexdigest()
     assert manifest["outputs"][0]["sha256"] == digest
+    env = manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["platform"].startswith(platform.system())
+    if sys.platform.startswith("linux"):
+        assert env["platform"] == platform.platform()
 
 
 def test_simulate_trajectory_exports(tmp_path):

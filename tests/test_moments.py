@@ -91,12 +91,14 @@ def test_base_derivative_values():
 
 def test_base_matches_recursion_on_single_part():
     # the recursion applied to (n) reduces to the two-orders-down relation
-    # satisfied by the closed-form seeds
-    table = {(): Fraction(1)}
-    for n in range(1, 13):
-        table[(n,)] = moments.phi_base(n)
+    # satisfied by the closed-form seeds; (m,) is packed as base**m, () as 0
+    base = 13
+    deps = {base**m if m else 0: int(moments.phi_base(m)) for m in range(13)}
     for n in range(2, 13):
-        assert moments.recursion_step((n,), table) == moments.phi_base(n)
+        sums = moments._level_sums([(n,)], deps, base)
+        assert list(sums) == [base**n]
+        # the sums are k(k+1) = 2 times the value
+        assert Fraction(sums[base**n], 2) == moments.phi_base(n)
 
 
 def test_recursion_worked_examples():
@@ -171,18 +173,20 @@ def test_moment_errors():
         table.moment(0)
     with pytest.raises(ValueError):
         table.coefficient((5, 1))
+    with pytest.raises(ValueError):
+        table.coefficient((3, -1))
 
 
 def test_missing_dependency_is_internal_error():
     with pytest.raises(RuntimeError, match="internal error"):
-        moments.recursion_step((1, 1), {})
+        moments._level_sums([(1, 1)], {}, 3)
 
 
 def test_recursion_step_rejects_invalid_partitions():
     with pytest.raises(ValueError):
-        moments.recursion_step((), {})
+        moments._level_sums([()], {}, 3)
     with pytest.raises(ValueError):
-        moments.recursion_step((2, 0), {})
+        moments._level_sums([(2, 0)], {}, 3)
 
 
 def test_second_moment_matches_limit_cf_curvature():
@@ -214,6 +218,29 @@ def test_order_24_table_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "e32f013a5181a5bfbbddc200a592a2ec71ec31869eadf01caf3c83a6328e7cc5"
     )
+
+
+def test_order_30_table_digest():
+    # every Fraction of the table as built by the per-partition Fraction
+    # recursion, before the level-by-level integer build
+    table = moments.build_phi_table(30)
+    text = "\n".join(f"{parts}:{value}" for parts, value in table.items_in_order())
+    assert text.count("\n") + 1 == 28629
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "89fd55422188f07b718c899fbeaa69bd3b396727b11ac6fb160991da8aa9c494"
+    )
+
+
+def test_order_26_table_lists_every_partition():
+    # the table reads every partition of 0..26, odd orders included, as 0
+    table = moments.build_phi_table(26)
+    items = list(table.items_in_order())
+    expected = [parts for n in range(27) for parts in moments.partitions(n)]
+    assert len(items) == 11732
+    assert [parts for parts, _ in items] == expected
+    odd = [value for parts, value in items if sum(parts) % 2]
+    assert odd and all(type(v) is Fraction and v == 0 for v in odd)
+    assert table.coefficient((3, 2)) == 0
 
 
 def test_items_in_order_streams_canonically():
