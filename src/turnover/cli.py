@@ -3,7 +3,8 @@ empirical-vs-analytic comparison reports, all as plot-ready CSV/JSON.
 
 Every command writes a run manifest next to its outputs (config echo, seed,
 code version, python / numpy / platform versions, timestamps, content
-digests). Payload files themselves carry no timestamps, so rerunning a
+digests; for ``simulate`` also the wall time of each phase and the peak
+RSS). Payload files themselves carry no timestamps, so rerunning a
 command with the same flags and seed reproduces them byte for byte. JSON is
 the canonical format; CSV cells use Python's shortest round-trip float
 representation.
@@ -21,6 +22,7 @@ import math
 import os
 import platform
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -66,8 +68,9 @@ class CliError(Exception):
 
 
 # What a command hands back to ``main``, which writes the manifest and prints
-# the first output path: (output paths, config echo, seed, exit status).
-CommandResult = tuple[list[str], dict, int | None, int]
+# the first output path: (output paths, config echo, seed, exit status,
+# manifest-only entries such as timings, which stay out of the payloads).
+CommandResult = tuple[list[str], dict, int | None, int, dict]
 
 
 def _resolve(path: str) -> str:
@@ -130,6 +133,7 @@ def _write_manifest(
     seed: int | None,
     started: str,
     outputs: list[str],
+    extra: dict,
 ) -> None:
     _write_json(
         path,
@@ -151,8 +155,18 @@ def _write_manifest(
                 }
                 for p in outputs
             ],
+            **extra,
         },
     )
+
+
+def _peak_rss_mb() -> float:
+    """The process's RSS high-water mark in MB (``ru_maxrss`` is in kB on
+    Linux and in bytes on macOS)."""
+    import resource  # only simulate reads it, so it is not loaded at import
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -229,7 +243,9 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
         init=args.init.replace("-", "_"),
         init_scale=args.init_scale,
     )
+    clock = time.perf_counter()
     trajectory = run(config)
+    ran = time.perf_counter()
     frames = trajectory.observable(args.observe)
 
     hist_range = None
@@ -262,6 +278,7 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
         },
     )
 
+    summarized = time.perf_counter()
     out = _resolve(args.out)
     _write_json(out, summary.to_json_dict())
     outputs = [out]
@@ -281,7 +298,13 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
             )
         _write_csv(tpath, header, rows)
         outputs.append(tpath)
-    return outputs, summary.config, args.seed, 0
+    phases = {
+        "run_s": ran - clock,
+        "summarize_s": summarized - ran,
+        "write_s": time.perf_counter() - summarized,
+        "peak_rss_mb": _peak_rss_mb(),
+    }
+    return outputs, summary.config, args.seed, 0, {"phases": phases}
 
 
 # ---------------------------------------------------------------------- moments
@@ -324,7 +347,7 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
             },
         )
     config = {"max_order": args.max_order, "sigma": args.sigma, "format": args.format}
-    return [out], config, None, 0
+    return [out], config, None, 0, {}
 
 
 # ---------------------------------------------------------------------- cf
@@ -399,7 +422,7 @@ def cmd_cf(args: argparse.Namespace) -> CommandResult:
         "eps": args.eps,
         "cap": args.cap,
     }
-    return [out], config, None, 0
+    return [out], config, None, 0, {}
 
 
 # ---------------------------------------------------------------------- compare
@@ -559,7 +582,7 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         "n": n,
         "ks_threshold": args.ks_threshold,
     }
-    return [out], config, None, 0 if all_pass else 1
+    return [out], config, None, 0 if all_pass else 1, {}
 
 
 # ---------------------------------------------------------------------- parser
@@ -675,7 +698,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_merge_dash_values(argv))
     started = _utcnow()
     try:
-        outputs, config, seed, status = COMMANDS[args.command](args)
+        outputs, config, seed, status, extra = COMMANDS[args.command](args)
         _write_manifest(
             _resolve(args.manifest or args.out + ".manifest.json"),
             args.command,
@@ -684,6 +707,7 @@ def main(argv: list[str] | None = None) -> int:
             seed,
             started,
             outputs,
+            extra,
         )
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

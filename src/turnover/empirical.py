@@ -85,8 +85,15 @@ def laplace_cdf(x, sigma: float):
     """CDF of the centred Laplace law with variance sigma^2 (scale sigma/sqrt(2))."""
     b = sigma / math.sqrt(2.0)
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.where(x < 0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
+    # 0.5 * exp(-|x|/b) in one buffer: it is the lower tail, 0.5 * exp(x/b),
+    # for x < 0, and no exponent is positive, so nothing overflows
+    cdf = np.abs(x, out=np.empty_like(x))
+    cdf /= -b
+    np.exp(cdf, out=cdf)
+    cdf *= 0.5
+    # the upper tail; a NaN stays NaN either way
+    np.subtract(1.0, cdf, out=cdf, where=x >= 0)
+    return cdf
 
 
 def ks_laplace(samples: np.ndarray, sigma: float) -> float:
@@ -227,9 +234,12 @@ def summarize(
     ecf = []
     ecf_ses = []
     for s in ecf_points:
-        # one cosine array serves the ECF (as empirical_cf) and its SE series
-        cos_sx = np.cos(s * frames)
-        ecf.append((float(s), float(cos_sx.mean()), float(np.sin(s * flat).mean())))
+        # one s*x buffer serves the sine, then holds the cosines for the ECF
+        # (as empirical_cf) and its SE series
+        cos_sx = s * frames
+        sin_mean = float(np.sin(cos_sx.ravel()).mean())
+        np.cos(cos_sx, out=cos_sx)
+        ecf.append((float(s), float(cos_sx.mean()), sin_mean))
         ecf_ses.append(batch_means_se(cos_sx.mean(axis=1)))
 
     return EmpiricalSummary(

@@ -59,10 +59,14 @@ class OffsetDistribution:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` offsets as an ndarray."""
         if self.kind == GAUSSIAN:
-            return rng.standard_normal(size) * self.sigma
+            out = rng.standard_normal(size)
+            out *= self.sigma
+            return out
         if self.kind == UNIFORM:
             return rng.uniform(-self.half_width, self.half_width, size)
-        return self.sigma * (2.0 * rng.integers(0, 2, size=size) - 1.0)
+        # sigma * (2k - 1) exactly, through a one-byte intermediate
+        heads = rng.integers(0, 2, size=size).astype(bool)
+        return np.where(heads, self.sigma, -self.sigma)
 
     def cf(self, s):
         """Characteristic function at s (real by symmetry; 1 at s=0).

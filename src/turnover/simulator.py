@@ -8,11 +8,19 @@ The module also provides the renormalised view (positions centred by the
 ensemble mean and scaled by 1/sqrt(n)), the row of inter-particle distances
 ``D_j = xbar[0] - xbar[j]``, the reconstruction of ``xbar[0]`` from that row,
 and the equivalent direct update of the distance row.
+
+``run`` applies the moves on a worker thread, one draw batch at a time,
+while the calling thread draws the next batch. numpy releases the GIL inside
+its random fills and large ufuncs, so the draws overlap the Python-level jump
+loop. The stream is consumed exactly as by a single thread: the same calls on
+the same generator in the same order, so the trajectory depends on the seed
+alone.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +86,17 @@ def draw_moves(
 
     The jumper i is uniform on [0, n); the target j is uniform on the other
     n-1 indices, realised by drawing on [0, n-1) and shifting past i. This is
-    the canonical consumption order of the random stream.
+    the canonical consumption order of the random stream. Both index arrays
+    come in the narrowest unsigned dtype that holds n-1, each narrowed before
+    the next draw, so a batch holds few bytes per move besides its offsets.
     """
     if n_particles < 2:
         raise ValueError(f"n_particles must be >= 2, got {n_particles}")
-    ii = rng.integers(0, n_particles, size=count)
+    index = np.min_scalar_type(n_particles - 1)
+    ii = rng.integers(0, n_particles, size=count).astype(index)
     jj = rng.integers(0, n_particles - 1, size=count)
     jj += jj >= ii
+    jj = jj.astype(index)
     dd = offsets.sample(rng, count)
     return ii, jj, dd
 
@@ -182,6 +194,10 @@ def run(config: SimConfig) -> Trajectory:
     first recorded frame; afterwards every thin-th state is recorded, so a
     run with steps=0 records exactly one frame. Steps after the last frame
     change no frame, so they are not applied.
+
+    A worker thread applies batch k while this thread draws batch k+1, so at
+    most two batches are alive at once. Every batch is allocated here and
+    the worker is joined on every exit path.
     """
     rng = np.random.default_rng(config.seed)
     x = _initial_positions(config, rng)
@@ -189,23 +205,50 @@ def run(config: SimConfig) -> Trajectory:
     burn_in = config.resolved_burn_in
     total = burn_in + config.steps
     schedule = range(burn_in, total + 1, config.thin)
+    last = schedule[-1]
     times = np.array(schedule, dtype=np.int64)
     positions = np.empty((len(schedule), n))
+    frame = 0  # the next frame to record
+    failure: list[BaseException] = []
 
-    start = m = pos = 0  # the current batch is steps [start, start + m); pos applied
-    for frame, t in enumerate(schedule):
-        while start + pos < t:
-            if pos == m:
-                start += m
-                m = min(CHUNK, total - start)
-                iv = jv = dv = None  # free the spent batch before drawing the next
-                iv, jv, dv = map(memoryview, draw_moves(rng, n, config.offsets, m))
-                pos = 0
-            stop = min(m, t - start)
+    def apply(moves, start: int) -> None:
+        # steps start+1.. of the run; records every frame the batch reaches
+        nonlocal frame
+        try:
             # memoryviews hand out Python ints and floats one at a time, which
             # is faster than tolist() and builds no per-batch lists
-            for i, j, d in zip(iv[pos:stop], jv[pos:stop], dv[pos:stop]):
-                x[i] = x[j] + d
-            pos = stop
-        positions[frame] = x
+            iv, jv, dv = map(memoryview, moves)
+            end = min(len(iv), last - start)
+            pos = 0
+            while frame < len(schedule):
+                t = schedule[frame] - start
+                stop = min(t, end)
+                for i, j, d in zip(iv[pos:stop], jv[pos:stop], dv[pos:stop]):
+                    x[i] = x[j] + d
+                pos = stop
+                if stop < t:
+                    return
+                positions[frame] = x
+                frame += 1
+        except BaseException as exc:  # re-raised on the calling thread
+            failure.append(exc)
+
+    worker = None
+    try:
+        for start in range(0, last, CHUNK):
+            moves = draw_moves(rng, n, config.offsets, min(CHUNK, total - start))
+            if worker is not None:
+                worker.join()
+            if failure:
+                break
+            worker = threading.Thread(target=apply, args=(moves, start))
+            worker.start()
+    finally:
+        if worker is not None:
+            worker.join()
+    if failure:
+        raise failure[0]
+    # only a run whose last frame needs no step gets here with a frame left:
+    # the initial state at time 0
+    positions[frame:] = x
     return Trajectory(config=config, times=times, positions=positions)

@@ -237,6 +237,12 @@ def test_simulate_deterministic_and_manifest(tmp_path):
     assert env["platform"].startswith(platform.system())
     if sys.platform.startswith("linux"):
         assert env["platform"] == platform.platform()
+    # per-phase costs go in the manifest, never in the payload
+    phases = manifest["phases"]
+    assert set(phases) == {"run_s", "summarize_s", "write_s", "peak_rss_mb"}
+    assert all(isinstance(v, float) and v >= 0 for v in phases.values())
+    assert phases["peak_rss_mb"] > 0
+    assert "phases" not in read_json(out1)
 
 
 def test_simulate_trajectory_exports(tmp_path):

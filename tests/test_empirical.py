@@ -137,6 +137,25 @@ def test_empirical_cf_empty_rejected():
         empirical.empirical_cf(np.array([]), 1.0)
 
 
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 3.7])
+def test_laplace_cdf_equals_the_two_branch_formula(sigma):
+    b = sigma / math.sqrt(2.0)
+    rng = np.random.default_rng(9)
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e3 * b, -1e3 * b],
+        rng.laplace(0.0, b, 10_000),
+        np.linspace(-1e3 * b, 1e3 * b, 10_001),
+    ])
+    with np.errstate(over="ignore"):
+        two_branch = np.where(x < 0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
+    # only exponents <= 0 are formed, so nothing overflows
+    with np.errstate(over="raise"):
+        cdf = empirical.laplace_cdf(x, sigma)
+    np.testing.assert_array_equal(cdf, two_branch)
+    assert cdf[0] == cdf[1] == 0.5
+    assert cdf[2] == 1.0 and cdf[3] == 0.0 and math.isnan(cdf[4])
+
+
 def test_ks_point_mass_is_half():
     assert empirical.ks_laplace(np.zeros(1000), 1.0) == pytest.approx(0.5, abs=1e-12)
 

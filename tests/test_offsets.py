@@ -17,6 +17,15 @@ def test_two_point_support():
     assert set(np.unique(draws)) == {-0.1, 0.1}
 
 
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 2.0 / 3.0, 1e-300, 1e300])
+def test_two_point_sample_is_exactly_sigma_times_two_k_minus_one(sigma):
+    draws = offsets.two_point(sigma).sample(np.random.default_rng(8), 100_000)
+    k = np.random.default_rng(8).integers(0, 2, size=100_000)
+    np.testing.assert_array_equal(draws, sigma * (2.0 * k - 1.0))
+    assert draws.dtype == np.float64
+    assert np.all(np.abs(draws) == sigma)
+
+
 def test_gaussian_sample_variance_within_standard_error():
     # SE of the sample variance of a gaussian is sigma^2 * sqrt(2/n)
     sigma, n = 0.1, 1_000_000

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -375,3 +377,90 @@ def test_run_memory_is_bounded_by_the_output(monkeypatch):
     # the shift mask and the offsets with their unscaled copy
     budget = trajectory.positions.nbytes + 6 * chunk * 8
     assert peak < budget, f"traced peak {peak} B over budget {budget} B"
+
+
+@pytest.mark.parametrize(
+    "n, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16), (65_537, np.uint32)]
+)
+def test_draw_moves_indices_are_narrow_and_equal_an_int64_replay(n, dtype):
+    dist = offsets.gaussian(0.1)
+    ii, jj, dd = simulator.draw_moves(np.random.default_rng(5), n, dist, 10_000)
+    # the narrowest unsigned type that holds n-1
+    assert ii.dtype == jj.dtype == np.dtype(dtype)
+    rng = np.random.default_rng(5)
+    ref_i = rng.integers(0, n, size=10_000)
+    ref_j = rng.integers(0, n - 1, size=10_000)
+    ref_j += ref_j >= ref_i
+    np.testing.assert_array_equal(ii.astype(np.int64), ref_i)
+    np.testing.assert_array_equal(jj.astype(np.int64), ref_j)
+    np.testing.assert_array_equal(dd, dist.sample(rng, 10_000))
+
+
+def _failing_draws(monkeypatch, fail_at, make_error):
+    """Make the ``fail_at``-th draw of ``simulator.run`` go wrong."""
+    calls = []
+    draw = simulator.draw_moves
+
+    def draws(*args):
+        calls.append(None)
+        moves = draw(*args)
+        return make_error(moves) if len(calls) == fail_at else moves
+
+    monkeypatch.setattr(simulator, "draw_moves", draws)
+    return calls
+
+
+def test_run_propagates_a_draw_failure_and_joins_the_worker(monkeypatch):
+    monkeypatch.setattr(simulator, "CHUNK", 5)
+
+    def fail(_moves):
+        raise RuntimeError("draw failed")
+
+    calls = _failing_draws(monkeypatch, 2, fail)
+    config = simulator.SimConfig(
+        n_particles=4, offsets=offsets.gaussian(1.0), steps=20, burn_in=0, seed=3
+    )
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        simulator.run(config)
+    # the first batch went to the worker before the second draw failed
+    assert len(calls) == 2
+    assert threading.active_count() == before
+
+
+def test_run_propagates_a_worker_failure(monkeypatch):
+    monkeypatch.setattr(simulator, "CHUNK", 5)
+
+    def bad_jumper(moves):
+        ii, jj, dd = moves
+        ii = ii.copy()
+        ii[0] = 4  # no particle 4 among 4: the loop on the worker fails
+        return ii, jj, dd
+
+    _failing_draws(monkeypatch, 2, bad_jumper)
+    config = simulator.SimConfig(
+        n_particles=4, offsets=offsets.gaussian(1.0), steps=30, burn_in=0, seed=3
+    )
+    before = threading.active_count()
+    with pytest.raises(IndexError):
+        simulator.run(config)
+    assert threading.active_count() == before
+
+
+def test_run_leaves_no_thread_behind(monkeypatch):
+    # hundreds of batch hand-offs under a very short switch interval: a frame
+    # recorded or a move applied out of turn would break the replay
+    monkeypatch.setattr(simulator, "CHUNK", 7)
+    config = simulator.SimConfig(
+        n_particles=5, offsets=offsets.two_point(0.1), steps=3000, burn_in=3, seed=4, thin=9
+    )
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        trajectory = simulator.run(config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    _, frames = _replay_in_chunks(config, 7)
+    np.testing.assert_array_equal(trajectory.positions, frames)

@@ -44,22 +44,25 @@ def test_method_targets_resolve(target):
 
 
 @pytest.mark.parametrize(
-    "argv, spans",
+    "argv, spans, nested",
     [
         (
             ["simulate", "--particles", "5", "--sigma", "0.1", "--steps", "200",
              "--seed", "1", "--out", "d.json"],
-            {"simulator.run", "empirical.summarize", "empirical.kde"},
+            {"simulator.run", "simulator.draw_moves", "offsets.sample",
+             "empirical.summarize", "empirical.kde"},
+            # the draws run on the calling thread, inside the run's span
+            {"simulator.draw_moves": "simulator.run", "offsets.sample": "simulator.run"},
         ),
-        (["moments", "--max-order", "6", "--out", "m.json"], {"moments.build_phi_table"}),
+        (["moments", "--max-order", "6", "--out", "m.json"], {"moments.build_phi_table"}, {}),
         (["cf", "--mode", "phiN", "--n", "4", "--sigma", "0.1", "--grid", "0:5:3",
-          "--out", "phi.csv"], {"charfn.particle_cf"}),
+          "--out", "phi.csv"], {"charfn.particle_cf"}, {}),
         (["cf", "--mode", "psiN", "--n", "4", "--sigma", "0.1", "--grid", "0:5:3",
-          "--out", "psi.csv"], {"charfn.distance_cf"}),
+          "--out", "psi.csv"], {"charfn.distance_cf"}, {}),
     ],
     ids=["simulate", "moments", "cf-phiN", "cf-psiN"],
 )
-def test_traced_cli_run_records_hook_attributes(tmp_path, argv, spans):
+def test_traced_cli_run_records_hook_attributes(tmp_path, argv, spans, nested):
     # the hooks run on real calls, so a renamed parameter fails here
     done = subprocess.run(
         [sys.executable, str(TRACER), "spans.json", *argv],
@@ -72,3 +75,12 @@ def test_traced_cli_run_records_hook_attributes(tmp_path, argv, spans):
     assert spans <= set(by_name)
     for name in spans & set(tracer.HOOKS):
         assert by_name[name]["attrs"], name
+    for name, outer in nested.items():
+        for span in recorded:
+            if span["name"] == name:
+                enclosing = []
+                parent = span["parent"]
+                while parent is not None:
+                    enclosing.append(recorded[parent]["name"])
+                    parent = recorded[parent]["parent"]
+                assert outer in enclosing, (name, enclosing)
