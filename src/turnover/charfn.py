@@ -19,6 +19,7 @@ coercing it, also under ``python -O``.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 
@@ -147,39 +148,45 @@ def distance_pair_pdf_three(
 # ---------------------------------------------------------------------------
 # Joint CF recursions.
 #
-# One memoised core serves the finite-n and the limit recursion, at general
-# and at lattice arguments. Each argument is a multiplier m of a common base,
-# so the argument itself is m * base; a state is the sorted tuple of its
-# multipliers. Joint CFs are symmetric, so equal multipliers are grouped: for
-# each distinct value v with multiplicity c_v, the numerator removes one v
-# with weight c_v (xi(v) + xi_tot), merges two v's into 2v with weight
-# c_v (c_v - 1) xi(v), and merges v into a larger w with weight
-# c_v c_w (xi(v) + xi(w)). A state therefore costs d^2 in its number d of
-# distinct values instead of k^2. The limit recursion is the case xi == 1.
+# One memoised core serves the finite-n and the limit recursion, at any
+# arguments. Arguments with equal rows (equal values, at a point) form one
+# class, and the d classes are ordered canonically: by value at a point,
+# lexicographically by row on a grid. With radix B = k + 1, an argument of
+# class c is the packed count vector B**c, and a state is the sorted tuple of
+# its parts' packed count vectors. A merge adds two of them, which never
+# carries because the counts sum to at most k; merges are exact integer sums,
+# whatever order they come in. A part with counts n_c has the argument
+# sum_c n_c * value_c, which for one class is the integer multiplier m times
+# the value: the diagonal is the lattice (1, ..., 1).
 #
-# Memo keys are compared bitwise, with no epsilon matching. General arguments
-# use base 1.0 and their sorted floats as multipliers (m * 1.0 == m). Equal
-# arguments use base s and integer multipliers starting at (1, ..., 1): merges
-# only ever add multipliers, and integer sums are exact, whereas float sums of
-# equal arguments depend on their order and would split one lattice point
-# over several memo keys.
+# Joint CFs are symmetric, so equal parts are grouped: for each distinct part
+# v with multiplicity c_v, the numerator removes one v with weight c_v (xi(v)
+# + xi_tot), merges two v's into 2v with weight c_v (c_v - 1) xi(v), and
+# merges v into a larger w with weight c_v c_w (xi(v) + xi(w)). A state
+# therefore costs r^2 in its number r of distinct parts instead of k^2. The
+# limit recursion is the case xi == 1. Its denominator k(k+1) + (sigma^2/2)
+# (sum_j x_j^2 + X^2), for part arguments x_j with sum X, is formed as
+# k(k+1) + sum_{a<=b} Q_ab H_ab from the integer matrix Q = sum_j n_j n_j^T +
+# t t^T over the parts' count vectors n_j and their sum t, and
+# H_ab = (sigma^2/2) value_a value_b, doubled off the diagonal.
 #
-# The lattice states and their weights do not depend on the base; only
-# xi(m * base) and the denominator do, and the arithmetic is elementwise. So a
-# grid of bases is walked once, with numpy arrays over the grid points as the
-# memo's values, in blocks of GRID_BLOCK points so the memo's memory is
-# bounded by the block, not by the grid. A single point keeps Python floats.
+# The states and their weights do not depend on the class values; only xi and
+# the denominator do, and the arithmetic is elementwise. So a (k, P) grid is
+# walked once, with numpy arrays over the grid points as the memo's values, in
+# blocks so the memo's memory is bounded by the block, not by the grid. A
+# point keeps Python floats.
 # ---------------------------------------------------------------------------
 
-# grid points per lattice walk: the memo holds one array this long per state
+# grid points per walk: the memo holds one array this long per state. Walks
+# with more states than the lattice at k = DEFAULT_CAP (271) take fewer points.
 GRID_BLOCK = 1024
 
 
 def _joint_cf(mults: tuple, xi_at, den_at, memo: dict):
-    """Joint CF at the sorted multiplier tuple ``mults``.
+    """Joint CF at the sorted tuple ``mults`` of packed parts.
 
-    ``xi_at(m)`` is the offset CF at multiplier m; ``den_at(mults, xi_sum)``
-    is the recursion's denominator, given xi_sum = xi(sum) + sum of xi(m).
+    ``xi_at(m)`` is the offset CF at part m; ``den_at(mults, xi_sum)`` is the
+    recursion's denominator, given xi_sum = xi(sum) + sum of xi(m).
     Values are floats, or arrays over grid points that ``memo`` and ``xi_at``
     share, so none is ever updated in place.
     """
@@ -219,34 +226,85 @@ def _insert(parts: tuple, value) -> tuple:
     return parts[:pos] + (value,) + parts[pos:]
 
 
-def _multipliers(coords: tuple[float, ...]) -> tuple[tuple, float]:
-    """(multipliers, base) for the arguments: the integer lattice (1, ..., 1)
-    when all are equal, else the sorted floats with base 1.0."""
-    first = coords[0]
-    if all(c == first for c in coords):
-        return (1,) * len(coords), first
-    return tuple(sorted(coords)), 1.0
+def _classes(rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """Group the equal rows of ``rows`` (shape (k, P)) into classes numbered
+    in lexicographic order of their rows: (class of each row, first row of
+    each class). Rows are compared pairwise, so nothing copies the grid."""
+
+    def compare(i: int, j: int) -> int:
+        differ = rows[i] != rows[j]
+        if not differ.any():
+            return 0
+        at = differ.argmax()
+        return -1 if rows[i, at] < rows[j, at] else 1
+
+    order = sorted(range(len(rows)), key=functools.cmp_to_key(compare))
+    of_row = [0] * len(rows)
+    firsts = [order[0]]
+    for prev, i in zip(order, order[1:]):
+        if compare(prev, i):
+            firsts.append(i)
+        of_row[i] = len(firsts) - 1
+    return of_row, firsts
+
+
+def _state_count(counts: list[int]) -> int:
+    """Memo states of a walk over classes of these sizes: the multiset
+    partitions of each nonempty sub-multiset, summed from the coefficients of
+    prod_{u != 0} 1 / (1 - x^u) over the box 0 <= v <= counts."""
+    box = list(itertools.product(*(range(n + 1) for n in counts)))
+    ways = dict.fromkeys(box, 0)
+    ways[box[0]] = 1
+    for u in box[1:]:
+        # admit u as a part: w comes before w + u, so ways[w] already uses u
+        for w in itertools.product(*(range(n - a + 1) for n, a in zip(counts, u))):
+            ways[tuple(a + b for a, b in zip(w, u))] += ways[w]
+    return sum(ways.values()) - 1
+
+
+def _counts(m: int, radix: int, d: int) -> list[int]:
+    """The counts n_0, ..., n_{d-1} of the packed count vector
+    m = sum_c n_c radix**c."""
+    counts = []
+    for _ in range(d):
+        m, n = divmod(m, radix)
+        counts.append(n)
+    return counts
+
+
+def _argument(m: int, radix: int, values):
+    """sum_c n_c * values[c] over the nonzero counts of the packed vector m,
+    in class order; one class gives n_0 * values[0] itself."""
+    terms = [n * v for n, v in zip(_counts(m, radix, len(values)), values) if n]
+    return sum(terms[1:], terms[0])
 
 
 def _walk(coords: np.ndarray, walk):
-    """``walk(mults, base)`` at ``coords``, bound-checked.
+    """``walk(parts, radix, values)`` at ``coords``, bound-checked.
 
-    ``coords`` of shape (k,) is one point, which gives a float. Shape (k, P)
-    with equal rows is the lattice (1, ..., 1) at each of the P bases in a
-    row, which gives an array of P values, walked once per GRID_BLOCK points.
+    ``parts`` is the sorted tuple of the arguments' packed classes and
+    ``values`` holds one value per class. ``coords`` of shape (k,) is one
+    point, the case P = 1 of a grid, which gives a float from Python-float
+    values. Shape (k, P) gives an array of P values, walked once per block of
+    grid points with the class rows cut to the block as values.
     """
+    if coords.ndim not in (1, 2):
+        raise ValueError(f"grid arguments need shape (k, P), got shape {coords.shape}")
+    rows = coords.reshape(len(coords), -1)
+    of_row, firsts = _classes(rows)
+    radix = len(coords) + 1
+    parts = tuple(sorted(radix**c for c in of_row))
     if coords.ndim == 1:
-        return _check_cf(walk(*_multipliers(tuple(coords.tolist()))))
-    if coords.ndim != 2 or not (coords == coords[:1]).all():
-        raise ValueError(
-            f"grid arguments need shape (k, P) with equal rows, got shape {coords.shape}"
-        )
-    mults = (1,) * len(coords)
-    bases = coords[0]
-    out = np.empty(bases.shape)
-    for start in range(0, bases.size, GRID_BLOCK):
-        block = slice(start, start + GRID_BLOCK)
-        out[block] = walk(mults, bases[block])
+        return _check_cf(walk(parts, radix, coords[firsts].tolist()))
+    # the memo holds one array per state: a walk takes at most as many
+    # entries as GRID_BLOCK points of the lattice at the default cap
+    states = _state_count([of_row.count(c) for c in range(len(firsts))])
+    budget = GRID_BLOCK * _state_count([DEFAULT_CAP])
+    points = max(1, min(GRID_BLOCK, budget // states))
+    out = np.empty(rows.shape[1])
+    for start in range(0, out.size, points):
+        block = slice(start, start + points)
+        out[block] = walk(parts, radix, [rows[j, block] for j in firsts])
     return _check_cf(out)
 
 
@@ -267,10 +325,10 @@ def distances_joint_cf(
 ) -> float | np.ndarray:
     """Joint CF of k inter-particle distances at the given arguments.
 
-    Requires k < n_particles. Equal arguments are routed through the integer
-    lattice recursion, which is what makes diagonal evaluations cheap.
-    ``coords`` is one point of k arguments, or a (k, P) grid of P equal-
-    argument points, evaluated together (see ``_walk``).
+    Requires k < n_particles. Equal arguments share one class of the
+    recursion's states, which is what makes diagonal evaluations cheap.
+    ``coords`` is one point of k arguments, or a (k, P) grid of P points,
+    evaluated together (see ``_walk``).
     """
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
     k = len(coords)
@@ -288,20 +346,20 @@ def distances_joint_cf(
         k = len(parts)
         return (k + 1) * (n_particles - 1) + (k + 1 - n_particles) * xi_sum
 
-    def walk(mults: tuple, base):
-        grid = isinstance(base, np.ndarray)
+    def walk(parts: tuple, radix: int, values: list):
+        grid = isinstance(values[0], np.ndarray)
         xi: dict = {}
 
         def xi_at(m):
             try:
                 return xi[m]
             except KeyError:
-                val = offsets.cf_scaled(m * base, n_particles)
+                val = offsets.cf_scaled(_argument(m, radix, values), n_particles)
                 # a point keeps the recursion's arithmetic on Python floats
                 val = xi[m] = val if grid else float(val)
                 return val
 
-        return _joint_cf(mults, xi_at, den_at, {})
+        return _joint_cf(parts, xi_at, den_at, {})
 
     return _walk(coords, walk)
 
@@ -319,16 +377,29 @@ def distances_joint_cf_limit(
     if k == 0:
         return 1.0
 
-    def walk(mults: tuple, base):
-        sb = sigma * base
-        half_sb2 = 0.5 * sb * sb
+    def walk(parts: tuple, radix: int, values: list):
+        d = len(values)
+        sb = [sigma * v for v in values]
+        pairs = [(a, b) for a in range(d) for b in range(a, d)]
+        # H_ab = sigma^2/2 value_a value_b, doubled off the diagonal
+        h = [0.5 * sb[a] * sb[a] if a == b else sb[a] * sb[b] for a, b in pairs]
+
+        @functools.cache
+        def pair_products(m: int) -> tuple[int, ...]:
+            n = _counts(m, radix, d)
+            return tuple(n[a] * n[b] for a, b in pairs)
 
         def den_at(parts: tuple, _xi_sum):
             k = len(parts)
-            total = sum(parts)
-            return k * (k + 1) + half_sb2 * (sum(m * m for m in parts) + total * total)
+            # Q_ab: n_a n_b summed over the parts and their sum
+            q = map(sum, zip(*map(pair_products, parts + (sum(parts),))))
+            den = k * (k + 1)
+            for q_ab, h_ab in zip(q, h):
+                if q_ab:
+                    den = den + q_ab * h_ab
+            return den
 
-        return _joint_cf(mults, lambda m: 1.0, den_at, {})
+        return _joint_cf(parts, lambda m: 1.0, den_at, {})
 
     return _walk(coords, walk)
 

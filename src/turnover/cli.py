@@ -225,6 +225,8 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
     offsets = from_name(args.offset, args.sigma)
     ecf_points = _parse_floats(args.ecf_s)
     # the summary's flags are checked here, so a bad one fails before the run
+    if args.max_order < 1:
+        raise CliError(f"--max-order must be >= 1, got {args.max_order}")
     if args.bins < 1:
         raise CliError(f"--bins must be >= 1, got {args.bins}")
     if args.kde_points < 1:
@@ -315,10 +317,9 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
         raise CliError("--max-order must be >= 2")
     if not (args.sigma > 0 and math.isfinite(args.sigma)):
         raise CliError(f"--sigma must be a positive finite real, got {args.sigma!r}")
-    if args.max_order > args.order_limit:
+    if args.max_order > ORDER_LIMIT:
         raise ResourceLimitError(
-            f"--max-order {args.max_order} exceeds the feasibility guard "
-            f"--order-limit {args.order_limit}"
+            f"--max-order {args.max_order} exceeds the feasibility guard {ORDER_LIMIT}"
         )
     table = build_phi_table(args.max_order)
     rows = []
@@ -453,7 +454,7 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         raise CliError(
             f"n mismatch: summary has {cfg.get('n_particles')!r}, flags say {args.n!r}"
         )
-    if args.offset is not None and cfg.get("offset") != args.offset.replace("-", "_"):
+    if args.offset is not None and cfg.get("offset") != from_name(args.offset, args.sigma).kind:
         raise CliError(
             f"offset mismatch: summary has {cfg.get('offset')!r}, flags say {args.offset!r}"
         )
@@ -635,7 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     mom.add_argument("--max-order", type=int, required=True, dest="max_order")
     mom.add_argument("--sigma", type=float, default=1.0)
     mom.add_argument("--format", default="json", choices=["json", "csv"])
-    mom.add_argument("--order-limit", type=int, default=ORDER_LIMIT, dest="order_limit")
 
     cf = command("cf", help="evaluate a CF or density on a grid")
     cf.add_argument("--mode", required=True, choices=list(CF_MODES))

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Mapping
 Partition = tuple[int, ...]
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions(n: int) -> Iterator[Partition]:
     """Partitions of n in canonical order: (n) first, (1, ..., 1) last.
 
     Iterative, by algorithm ZS1 (Zoghbi & Stojmenovic 1998): ``x`` holds the
@@ -55,15 +55,10 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
     if n == 0:
         yield ()
         return
-    top = n if max_part is None else min(max_part, n)
-    if top < 1:
-        return
-    q, rem = divmod(n, top)
-    x = [top] * q + [rem] * (rem > 0)
-    m = len(x)
-    h = sum(1 for v in x if v > 1) - 1
-    x += [1] * (n - m)
-    yield tuple(x[:m])
+    x = [n] + [1] * (n - 1)
+    m = 1
+    h = 0 if n > 1 else -1
+    yield (n,)
     while x[0] != 1:
         if x[h] == 2:
             m += 1

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import subprocess
@@ -182,14 +183,79 @@ def test_grid_walk_equals_pointwise_bitwise(make, block, monkeypatch):
         assert values[50] == 1.0, name  # s = 0 is exactly 1
 
 
-def test_grid_arguments_need_equal_rows():
-    unequal = np.array([[1.0, 2.0, 3.0], [1.0, 2.5, 3.0]])
-    with pytest.raises(ValueError, match="equal rows"):
-        charfn.distances_joint_cf(unequal, 10, GAUSS)
-    with pytest.raises(ValueError, match="equal rows"):
-        charfn.distances_joint_cf_limit(unequal, SIGMA)
+def test_grid_arguments_need_shape_k_by_p():
     with pytest.raises(ValueError, match="shape"):
         charfn.particle_cf(np.ones((2, 2)), 5, GAUSS)
+
+
+def _pair_grid(half_width, points):
+    """The (2, points^2) grid of (s1, s2) over [-half_width, half_width]^2."""
+    axis = np.linspace(-half_width, half_width, points)
+    s1, s2 = np.meshgrid(axis, axis, indexing="ij")
+    return np.stack([s1.ravel(), s2.ravel()])
+
+
+def test_lattice_grids_match_pinned_digest():
+    # phiN n=12, gammaN n=14 and psiNk n=100 k=10 on the grid 0:50:101, as the
+    # integer-multiplier walk computed them before states became count vectors
+    s = np.linspace(0.0, 50.0, 101)
+    digest = hashlib.sha256()
+    for values in (
+        charfn.particle_cf(s, 12, GAUSS),
+        charfn.particle_cf_limit(s, 14, SIGMA, cap=14),
+        charfn.distances_joint_cf(np.broadcast_to(s, (10, s.size)), 100, GAUSS),
+    ):
+        digest.update(values.astype("<f8").tobytes())
+    assert digest.hexdigest() == (
+        "186d7525f6aaf7a5aa7818c6975dc7e85d4adac8090e305aa69aa313ffe6ddb7"
+    )
+
+
+def test_general_pair_grid_matches_three_particle_closed_form():
+    grid = _pair_grid(50.0, 21)
+    values = charfn.distances_joint_cf(grid, 3, GAUSS)
+    closed = [charfn.distance_pair_cf_three(s1, s2, GAUSS) for s1, s2 in grid.T]
+    assert np.abs(values - closed).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "make", [offsets.gaussian, offsets.uniform, offsets.two_point],
+    ids=["gaussian", "uniform", "two_point"],
+)
+def test_permuting_grid_rows_changes_no_bit(make):
+    # classes are ordered by their rows, not by their place in the grid
+    dist = make(SIGMA)
+    rng = np.random.default_rng(3)
+    grid = rng.uniform(-40.0, 40.0, (4, 50))
+    grid[2] = grid[0]  # one class of two arguments
+    for evaluate in (
+        lambda g: charfn.distances_joint_cf(g, 10, dist),
+        lambda g: charfn.distances_joint_cf_limit(g, SIGMA),
+    ):
+        values = evaluate(grid).tobytes()
+        for order in ([3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]):
+            assert evaluate(grid[order]).tobytes() == values
+
+
+@pytest.mark.parametrize(
+    "make", [offsets.gaussian, offsets.uniform, offsets.two_point],
+    ids=["gaussian", "uniform", "two_point"],
+)
+def test_general_grid_is_close_to_its_points(make):
+    # a grid orders its classes by row, a point by value, and a point with
+    # s1 == s2 has one class where the grid has two: sums form in another
+    # order, so entries may differ from their points by a few ulps (at most
+    # 6.0e-15 measured, two-point offsets, 41 x 41 at n = 100)
+    dist = make(SIGMA)
+    grid = _pair_grid(50.0, 41)
+    unequal = np.array([[1.0, 2.0, 3.0], [1.0, 2.5, 3.0]])
+    for coords in (grid, unequal):
+        values = charfn.distances_joint_cf(coords, 100, dist)
+        limit = charfn.distances_joint_cf_limit(coords, SIGMA)
+        points = [charfn.distances_joint_cf(tuple(c), 100, dist) for c in coords.T.tolist()]
+        limit_points = [charfn.distances_joint_cf_limit(tuple(c), SIGMA) for c in coords.T.tolist()]
+        assert np.abs(values - points).max() < 1e-14
+        assert np.abs(limit - limit_points).max() < 1e-14
 
 
 def test_grid_bound_check_reports_the_offending_entry():
@@ -212,6 +278,33 @@ def test_grid_walk_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert values.shape == grid.shape
     assert peak < 16e6
+
+
+def test_state_count_is_the_walk_memo_size():
+    # the walk's block size is taken from this count
+    for counts in ([1], [12], [13], [1, 1], [2, 1], [6, 6], [3, 2, 1], [1] * 7):
+        radix = sum(counts) + 1
+        parts = tuple(sorted(radix**c for c, n in enumerate(counts) for _ in range(n)))
+        memo = {}
+        charfn._joint_cf(parts, lambda m: 0.5, lambda p, x: 2.0, memo)
+        assert charfn._state_count(counts) == len(memo), counts
+
+
+def test_general_grid_walk_memory_shrinks_with_the_states():
+    # 7 distinct rows reach 4139 states, so a walk over GRID_BLOCK points
+    # would peak near 36 MB; one walk over all 130 points here would hold
+    # 4139 arrays of 130 floats in its memo alone
+    points = 130
+    grid = np.random.default_rng(4).uniform(-20.0, 20.0, (7, points))
+    tracemalloc.start()
+    try:
+        values = charfn.distances_joint_cf(grid, 8, GAUSS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (points,)
+    assert peak < 16e6
+    assert peak < 4139 * points * 8
 
 
 def test_joint_cf_k1_equals_distance_cf():
@@ -453,8 +546,9 @@ def test_monte_carlo_bridge_joint_cf():
     )
     rows = simulator.run(config).distance_rows()
     d12, d13 = rows[:, 0], rows[:, 1]
-    for s1, s2 in [(5.0, 5.0), (10.0, -5.0), (0.0, 20.0), (20.0, 10.0), (40.0, 40.0)]:
+    pairs = np.array([[5.0, 10.0, 0.0, 20.0, 40.0], [5.0, -5.0, 20.0, 10.0, 40.0]])
+    analytic = charfn.distances_joint_cf(pairs, n, offsets.gaussian(SIGMA))
+    for (s1, s2), value in zip(pairs.T, analytic):
         series = np.cos(s1 * d12 + s2 * d13)
         se = batch_means_se(series)
-        analytic = charfn.distances_joint_cf((s1, s2), n, offsets.gaussian(SIGMA))
-        assert abs(series.mean() - analytic) < 4 * se
+        assert abs(series.mean() - value) < 4 * se

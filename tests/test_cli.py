@@ -52,6 +52,11 @@ def test_moments_guard(tmp_path, capsys):
     out = tmp_path / "m.json"
     assert run_cli("moments", "--max-order", 80, "--out", out) == 2
     assert "resource limit" in capsys.readouterr().err
+    # --order-limit is gone: the guard is a constant, and argparse rejects the flag
+    with pytest.raises(SystemExit) as exc:
+        run_cli("moments", "--max-order", 80, "--order-limit", 100, "--out", out)
+    assert exc.value.code == 2
+    assert "--order-limit" in capsys.readouterr().err
     assert run_cli("moments", "--max-order", 1, "--out", out) == 2
     for sigma in ("nan", "inf", "0", "-0.1"):
         assert run_cli("moments", "--max-order", 4, "--sigma", sigma, "--out", out) == 2
@@ -287,6 +292,7 @@ def test_simulate_checks_summary_flags_before_the_run(tmp_path, monkeypatch, cap
     monkeypatch.setattr(cli, "run", no_run)
     out = tmp_path / "d.json"
     for flags, message in (
+        (["--max-order", 0], "--max-order must be >= 1"),
         (["--bins", 0], "--bins"),
         (["--bins", -5], "--bins"),
         (["--kde-points", 0], "--kde-points"),
@@ -321,6 +327,25 @@ def test_compare_against_itself_has_zero_gaps(tmp_path):
     for row in report["cf_gaps"]:
         assert row["gap"] == 0.0
     assert code in (0, 1)  # the ks verdict still judges the data itself
+
+
+def test_compare_offset_flag_takes_either_spelling(tmp_path, capsys):
+    summary = tmp_path / "d.json"
+    assert run_cli(
+        "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 1000,
+        "--offset", "two-point", "--seed", 4, "--out", summary,
+    ) == 0
+    report = tmp_path / "rep.json"
+    for spelling in ("two-point", "two_point"):
+        assert run_cli(
+            "compare", "--summary", summary, "--sigma", 0.1, "--n", 5,
+            "--offset", spelling, "--out", report,
+        ) in (0, 1)
+    assert run_cli(
+        "compare", "--summary", summary, "--sigma", 0.1, "--n", 5,
+        "--offset", "gaussian", "--out", report,
+    ) == 2
+    assert "offset mismatch" in capsys.readouterr().err
 
 
 def test_compare_validates_flags(tmp_path, capsys):
@@ -395,7 +420,7 @@ def test_compare_validates_flags(tmp_path, capsys):
         "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 100,
         "--max-order", 0, "--out", bad,
     ) == 2
-    assert "max_order" in capsys.readouterr().err
+    assert "--max-order must be >= 1" in capsys.readouterr().err
     assert not bad.exists()
 
 
