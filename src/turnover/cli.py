@@ -305,6 +305,7 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
         "summarize_s": summarized - ran,
         "write_s": time.perf_counter() - summarized,
         "peak_rss_mb": _peak_rss_mb(),
+        "moves_applied": trajectory.moves_applied,
     }
     return outputs, summary.config, args.seed, 0, {"phases": phases}
 

@@ -15,12 +15,23 @@ its random fills and large ufuncs, so the draws overlap the Python-level jump
 loop. The stream is consumed exactly as by a single thread: the same calls on
 the same generator in the same order, so the trajectory depends on the seed
 alone.
+
+Only the moves a recorded frame can see are applied. The jump is a Moran
+resampling step: traced back from a frame, the lineages of the n particles
+coalesce within about n**2 moves, and after that only the moves of the one
+surviving lineage (about 1 in n) reach the frame. So in every stretch of at
+least n**2 moves between two stops (recorded frames and batch ends) ``run``
+follows each particle's lineage back from the stop and applies only the moves
+on it, once n is at least ``LINEAGE_MIN_PARTICLES``. Each of those moves reads
+the value the full loop would give it, so every frame is bit-identical to
+applying all moves.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +43,12 @@ from .offsets import OffsetDistribution
 # target indices, then b offsets. The batch boundaries depend only on the
 # total step count, so trajectories are reproducible from the seed alone.
 CHUNK = 1 << 20
+
+# Fewest particles at which ``run`` applies only lineage moves. Finding a
+# lineage move costs about ten plain applications, and with fewer particles a
+# gap keeps too many of them: the full loop is faster on gaps near n**2, and
+# for n <= 16 on every gap.
+LINEAGE_MIN_PARTICLES = 64
 
 INIT_KINDS = ("all_zero", "iid_gaussian", "iid_uniform")
 
@@ -154,6 +171,7 @@ class Trajectory:
     config: SimConfig
     times: np.ndarray
     positions: np.ndarray  # shape (n_frames, n_particles)
+    moves_applied: int  # moves the jump loop applied to record the frames
 
     @property
     def n_frames(self) -> int:
@@ -187,6 +205,64 @@ def _initial_positions(config: SimConfig, rng: np.random.Generator) -> list[floa
     return rng.uniform(-half, half, n).tolist()
 
 
+def lineage_moves(
+    ii: np.ndarray, jj: np.ndarray, a: int, b: int, n: int, block: int = 1 << 16
+) -> np.ndarray:
+    """Indices, ascending, of the moves in [a, b) whose writes reach step b.
+
+    Each particle's lineage is followed back from b: its last write before b,
+    then the last write to that move's target before that move, and so on,
+    until a move already found or step a. Applied in order from the state at
+    step a, these moves alone give the state at step b, bit for bit.
+
+    The gap is walked back ``block`` moves at a time, so the lookup arrays stay
+    small. In a block the writes to a particle are found by bisection in the
+    block's moves sorted by the packed key ``(jumper << shift) | index``, where
+    ``2**shift`` exceeds every index.
+    """
+    shift = len(ii).bit_length()
+    dtype = np.min_scalar_type(n << shift)
+    index = (1 << shift) - 1
+    targets = memoryview(jj)
+    kept = []
+    live = range(n)  # the particles whose values at step hi are read
+    for hi in range(b, a, -block):
+        lo = max(a, hi - block)
+        keys = np.left_shift(ii[lo:hi], shift, dtype=dtype)
+        keys |= np.arange(lo, hi, dtype=dtype)
+        keys.sort()
+        # the writes to particle q sit at [first[q], first[q + 1]) in time order
+        first = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) << shift).tolist()
+        kv = memoryview(keys)
+        found = set()
+        needed = set()  # the particles whose values at step lo are read
+        for p in live:
+            q, m = p, hi
+            while True:
+                k = bisect_left(kv, q << shift | m, first[q], first[q + 1])
+                if k == first[q]:
+                    needed.add(q)  # no write to q in [lo, m)
+                    break
+                m = kv[k - 1] & index
+                if m in found:
+                    break  # joins a lineage already followed
+                found.add(m)
+                q = targets[m]
+        kept.extend(found)
+        live = needed
+    return np.sort(np.array(kept, dtype=np.intp))
+
+
+def _gaps(frames: range, end: int):
+    """A batch's gaps (a, b): up to each frame offset in turn, then to end."""
+    a = 0
+    for b in frames:
+        yield a, b
+        a = b
+    if a < end:
+        yield a, end
+
+
 def run(config: SimConfig) -> Trajectory:
     """Run the chain and record frames.
 
@@ -198,6 +274,14 @@ def run(config: SimConfig) -> Trajectory:
     A worker thread applies batch k while this thread draws batch k+1, so at
     most two batches are alive at once. Every batch is allocated here and
     the worker is joined on every exit path.
+
+    Each batch is cut at its stops: the frames it reaches and its end, since
+    the next batch's reads are unknown. With at least
+    ``LINEAGE_MIN_PARTICLES`` particles, a gap between stops of at least n**2
+    moves is cut down, on this thread before the hand-off, to its lineage
+    moves (``lineage_moves``); every other gap is applied whole. The frames
+    are bit-identical either way; ``Trajectory.moves_applied`` counts the
+    moves the loop applied.
     """
     rng = np.random.default_rng(config.seed)
     x = _initial_positions(config, rng)
@@ -209,40 +293,54 @@ def run(config: SimConfig) -> Trajectory:
     times = np.array(schedule, dtype=np.int64)
     positions = np.empty((len(schedule), n))
     frame = 0  # the next frame to record
+    # gaps of at least this many moves are cut down to their lineage moves
+    shortest = n * n if n >= LINEAGE_MIN_PARTICLES else math.inf
     failure: list[BaseException] = []
 
-    def apply(moves, start: int) -> None:
-        # steps start+1.. of the run; records every frame the batch reaches
+    def apply(moves, frames: range, end: int, lineages: dict) -> None:
+        # steps 1..end of the batch; records the frames at the offsets `frames`
         nonlocal frame
         try:
             # memoryviews hand out Python ints and floats one at a time, which
             # is faster than tolist() and builds no per-batch lists
             iv, jv, dv = map(memoryview, moves)
-            end = min(len(iv), last - start)
-            pos = 0
-            while frame < len(schedule):
-                t = schedule[frame] - start
-                stop = min(t, end)
-                for i, j, d in zip(iv[pos:stop], jv[pos:stop], dv[pos:stop]):
+            for a, b in _gaps(frames, end):
+                for i, j, d in zip(*(lineages.get(b) or (iv[a:b], jv[a:b], dv[a:b]))):
                     x[i] = x[j] + d
-                pos = stop
-                if stop < t:
-                    return
-                positions[frame] = x
-                frame += 1
+                if b in frames:
+                    positions[frame] = x
+                    frame += 1
         except BaseException as exc:  # re-raised on the calling thread
             failure.append(exc)
 
     worker = None
+    planned = 0  # frames handed to a worker
+    applied = 0
     try:
         for start in range(0, last, CHUNK):
             moves = draw_moves(rng, n, config.offsets, min(CHUNK, total - start))
+            end = min(len(moves[0]), last - start)
+            reached = len(range(burn_in, start + end + 1, config.thin))
+            due = schedule[planned:reached]
+            frames = range(due.start - start, due.stop - start, config.thin)
+            planned = reached
+            lineages = {}
+            for a, b in _gaps(frames, end):
+                if b - a < shortest:
+                    applied += b - a
+                    continue
+                kept = lineage_moves(moves[0], moves[1], a, b, n)
+                lineages[b] = tuple(memoryview(v[kept]) for v in moves)
+                applied += len(kept)
             if worker is not None:
                 worker.join()
             if failure:
                 break
-            worker = threading.Thread(target=apply, args=(moves, start))
+            worker = threading.Thread(target=apply, args=(moves, frames, end, lineages))
             worker.start()
+            # the worker holds the only references, so a batch is freed as
+            # soon as it is applied, not after the next draw
+            del moves, lineages
     finally:
         if worker is not None:
             worker.join()
@@ -251,4 +349,6 @@ def run(config: SimConfig) -> Trajectory:
     # only a run whose last frame needs no step gets here with a frame left:
     # the initial state at time 0
     positions[frame:] = x
-    return Trajectory(config=config, times=times, positions=positions)
+    return Trajectory(
+        config=config, times=times, positions=positions, moves_applied=applied
+    )

@@ -244,10 +244,25 @@ def test_simulate_deterministic_and_manifest(tmp_path):
         assert env["platform"] == platform.platform()
     # per-phase costs go in the manifest, never in the payload
     phases = manifest["phases"]
-    assert set(phases) == {"run_s", "summarize_s", "write_s", "peak_rss_mb"}
+    assert set(phases) == {"run_s", "summarize_s", "write_s", "peak_rss_mb", "moves_applied"}
+    applied = phases.pop("moves_applied")
     assert all(isinstance(v, float) and v >= 0 for v in phases.values())
     assert phases["peak_rss_mb"] > 0
     assert "phases" not in read_json(out1)
+    assert isinstance(applied, int) and 0 < applied <= 1000 + 5000
+
+    def moves_applied(thin):
+        out = tmp_path / "c.json"
+        assert run_cli(
+            "simulate", "--particles", 64, "--sigma", 0.1, "--steps", 5000,
+            "--burn-in", 0, "--thin", thin, "--seed", 7, "--out", out,
+        ) == 0
+        return read_json(tmp_path / "c.json.manifest.json")["phases"]["moves_applied"]
+
+    # one frame per step: every move is applied
+    assert moves_applied(1) == 5000
+    # one gap of 5000 >= n**2 moves: only its lineage moves are applied
+    assert moves_applied(5000) < 5000
 
 
 def test_simulate_trajectory_exports(tmp_path):

@@ -281,21 +281,35 @@ def _replay_in_chunks(config, chunk):
     return np.asarray(times), np.asarray(frames).reshape(len(times), n)
 
 
+def _replay_case(burn_in, steps, thin, n=4, chunk=5):
+    tail = "" if (n, chunk) == (4, 5) else f"-n{n}-chunk{chunk}"
+    return pytest.param(burn_in, steps, thin, n, chunk, id=f"{burn_in}-{steps}-{thin}{tail}")
+
+
 @pytest.mark.parametrize(
-    "burn_in, steps, thin",
+    "burn_in, steps, thin, n, chunk",
     [
-        (10, 20, 5),  # every frame falls on a chunk boundary
-        (3, 17, 4),  # frames fall inside chunks
-        (0, 12, 1),  # the initial state is a frame, then every step
-        (0, 9, 7),  # a tail of steps after the last frame
-        (0, 0, 1),  # no steps at all
-        (7, 0, 3),  # burn-in only
+        _replay_case(10, 20, 5),  # every frame falls on a chunk boundary
+        _replay_case(3, 17, 4),  # frames fall inside chunks
+        _replay_case(0, 12, 1),  # the initial state is a frame, then every step
+        _replay_case(0, 9, 7),  # a tail of steps after the last frame
+        _replay_case(0, 0, 1),  # no steps at all
+        _replay_case(7, 0, 3),  # burn-in only
+        # gaps of at least n**2 moves, where only lineage moves are applied
+        _replay_case(64, 192, 64, 3, 64),  # every frame falls on a chunk boundary
+        _replay_case(10, 200, 30, 3, 64),  # frames fall inside chunks
+        _replay_case(100, 0, 1, 2, 64),  # burn-in only, across a chunk seam
+        _replay_case(0, 150, 70, 2, 64),  # a tail of steps after the last frame
+        _replay_case(0, 0, 1, 2, 64),  # no steps at all
+        _replay_case(100, 60, 2, 3, 64),  # a long burn-in, then gaps under n**2
+        _replay_case(3, 252, 4, 2, 64),  # a burn-in of n**2 - 1, then gaps of n**2
     ],
 )
-def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin):
-    monkeypatch.setattr(simulator, "CHUNK", 5)
+def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin, n, chunk):
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
     config = simulator.SimConfig(
-        n_particles=4,
+        n_particles=n,
         offsets=offsets.gaussian(1.0),
         steps=steps,
         burn_in=burn_in,
@@ -303,14 +317,51 @@ def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin):
         thin=thin,
     )
     trajectory = simulator.run(config)
-    times, frames = _replay_in_chunks(config, 5)
+    times, frames = _replay_in_chunks(config, chunk)
     np.testing.assert_array_equal(trajectory.times, times)
     np.testing.assert_array_equal(trajectory.positions, frames)
     assert trajectory.times.dtype == np.int64
-    if burn_in + steps > 5:
+    assert trajectory.moves_applied <= min(burn_in + steps, times[-1])
+    if burn_in + steps > chunk:
         # the batch size is part of the stream: one unchunked draw differs
         _, unchunked = _replay_in_chunks(config, burn_in + steps)
         assert not np.array_equal(trajectory.positions, unchunked)
+
+
+def _backward_scan(ii, jj, a, b, n):
+    """Moves in [a, b) a brute-force backward scan keeps: a move is kept iff
+    its jumper is live, and then the jumper dies and the target lives."""
+    live = set(range(n))
+    kept = []
+    for m in range(b - 1, a - 1, -1):
+        if ii[m] in live:
+            kept.append(m)
+            live.discard(ii[m])
+            live.add(jj[m])
+    return kept[::-1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17])
+def test_lineage_moves_equal_a_backward_scan(n):
+    rng = np.random.default_rng(40 + n)
+    dist = offsets.gaussian(1.0)
+    for _ in range(30):
+        size = int(rng.integers(1, 400))
+        ii, jj, dd = simulator.draw_moves(rng, n, dist, size)
+        a, b = sorted(rng.integers(0, size + 1, 2).tolist())
+        expected = _backward_scan(ii.tolist(), jj.tolist(), a, b, n)
+        for block in (1, 7, 1 << 16):
+            kept = simulator.lineage_moves(ii, jj, a, b, n, block)
+            # equality, not a superset: every skipped write is really unread
+            assert kept.tolist() == expected
+        # the kept moves alone carry the state at a to the state at b
+        start = rng.standard_normal(n).tolist()
+        full, part = list(start), list(start)
+        for i, j, d in zip(ii[a:b].tolist(), jj[a:b].tolist(), dd[a:b].tolist()):
+            full[i] = full[j] + d
+        for m in expected:
+            part[ii[m]] = part[jj[m]] + dd[m]
+        assert part == full
 
 
 @pytest.mark.parametrize(
@@ -332,6 +383,12 @@ def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin):
         (
             "two_point", 50, 1_200_000, 0, 100_003, "all_zero",
             "f1f8beceeef2a32c6003a7465186cd8d02dbf13dce5548d760c3fde55f8f2ea8",
+        ),
+        # gaps of at least n**2 moves on both sides of the seam, so only
+        # lineage moves are applied; pinned from a run that applied them all
+        (
+            "gaussian", 100, 1_300_000, 20_000, 250_001, "iid_gaussian",
+            "433d4c334be6b1236f0c33f3d643e83cccada59eced8f9f21d0f2d91409aa006",
         ),
     ],
 )
@@ -358,25 +415,27 @@ def test_run_memory_is_bounded_by_the_output(monkeypatch):
     # objects per recorded value
     chunk = 1 << 16
     monkeypatch.setattr(simulator, "CHUNK", chunk)
-    config = simulator.SimConfig(
-        n_particles=100,
-        offsets=offsets.gaussian(0.1),
-        steps=200_000,
-        burn_in=0,
-        seed=22,
-        thin=10,
-    )
-    tracemalloc.start()
-    try:
-        trajectory = simulator.run(config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert trajectory.n_frames == 20_001
-    # a draw holds about five batch-sized arrays at once: jumpers, targets,
-    # the shift mask and the offsets with their unscaled copy
-    budget = trajectory.positions.nbytes + 6 * chunk * 8
-    assert peak < budget, f"traced peak {peak} B over budget {budget} B"
+    # thin = 10 applies every move; thin = n**2 applies only lineage moves
+    for thin, n_frames in ((10, 20_001), (10_000, 21)):
+        config = simulator.SimConfig(
+            n_particles=100,
+            offsets=offsets.gaussian(0.1),
+            steps=200_000,
+            burn_in=0,
+            seed=22,
+            thin=thin,
+        )
+        tracemalloc.start()
+        try:
+            trajectory = simulator.run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trajectory.n_frames == n_frames
+        # a draw holds about five batch-sized arrays at once: jumpers, targets,
+        # the shift mask and the offsets with their unscaled copy
+        budget = trajectory.positions.nbytes + 6 * chunk * 8
+        assert peak < budget, f"thin={thin}: traced peak {peak} B over budget {budget} B"
 
 
 @pytest.mark.parametrize(
