@@ -322,7 +322,9 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
         raise ResourceLimitError(
             f"--max-order {args.max_order} exceeds the feasibility guard {ORDER_LIMIT}"
         )
+    clock = time.perf_counter()
     table = build_phi_table(args.max_order)
+    phases = {"build_s": time.perf_counter() - clock, "table_entries": table.stored}
     rows = []
     for order in range(1, args.max_order + 1):
         moment = table.moment(order)
@@ -349,7 +351,7 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
             },
         )
     config = {"max_order": args.max_order, "sigma": args.sigma, "format": args.format}
-    return [out], config, None, 0, {}
+    return [out], config, None, 0, {"phases": phases}
 
 
 # ---------------------------------------------------------------------- cf

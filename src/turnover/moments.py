@@ -146,6 +146,11 @@ class PhiTable:
         self.max_order = max_order
         self._powers = [(max_order + 1) ** v for v in range(max_order + 1)]
 
+    @property
+    def stored(self) -> int:
+        """Numerators the table stores: one per partition of an even order."""
+        return sum(len(nums) for _, nums in self._levels.values())
+
     def _read(self, parts: Partition) -> Fraction:
         order = sum(parts)
         if order % 2:

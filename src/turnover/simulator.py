@@ -9,12 +9,15 @@ ensemble mean and scaled by 1/sqrt(n)), the row of inter-particle distances
 ``D_j = xbar[0] - xbar[j]``, the reconstruction of ``xbar[0]`` from that row,
 and the equivalent direct update of the distance row.
 
-``run`` applies the moves on a worker thread, one draw batch at a time,
-while the calling thread draws the next batch. numpy releases the GIL inside
-its random fills and large ufuncs, so the draws overlap the Python-level jump
-loop. The stream is consumed exactly as by a single thread: the same calls on
-the same generator in the same order, so the trajectory depends on the seed
-alone.
+``run`` works on three threads, one draw batch at a time. The calling thread
+draws every random number, in the stream's order. A short-lived helper
+thread follows the batch's lineages (below) on its index arrays while the
+calling thread draws its offsets. A worker thread applies the kept moves and
+records the frames while the calling thread draws the next batch. numpy
+releases the GIL inside its random fills and large ufuncs, so the draws
+overlap the Python-level chase and jump loop. The stream is consumed exactly
+as by a single thread: the same calls on the same generator in the same
+order, so the trajectory depends on the seed alone.
 
 Only the moves a recorded frame can see are applied. The jump is a Moran
 resampling step: traced back from a frame, the lineages of the n particles
@@ -24,7 +27,9 @@ least n**2 moves between two stops (recorded frames and batch ends) ``run``
 follows each particle's lineage back from the stop and applies only the moves
 on it, once n is at least ``LINEAGE_MIN_PARTICLES``. Each of those moves reads
 the value the full loop would give it, so every frame is bit-identical to
-applying all moves.
+applying all moves. The chase needs only the indices, so it runs beside the
+offset draw of its own batch. It is not left to the worker: the worker would
+then hold a whole batch, offsets included, while the next one is drawn.
 """
 
 from __future__ import annotations
@@ -94,28 +99,25 @@ class SimConfig:
 
 
 def draw_moves(
-    rng: np.random.Generator,
-    n_particles: int,
-    offsets: OffsetDistribution,
-    count: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw ``count`` moves (i, j, delta) from the stream.
+    rng: np.random.Generator, n_particles: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the jumpers i and targets j of ``count`` moves from the stream.
 
     The jumper i is uniform on [0, n); the target j is uniform on the other
-    n-1 indices, realised by drawing on [0, n-1) and shifting past i. This is
-    the canonical consumption order of the random stream. Both index arrays
-    come in the narrowest unsigned dtype that holds n-1, each narrowed before
-    the next draw, so a batch holds few bytes per move besides its offsets.
+    n-1 indices, realised by drawing on [0, n-1) and shifting past i. The
+    batch's offsets come next in the stream: ``offsets.sample(rng, count)``.
+    ``run`` draws them separately, so that the lineage chase can work on the
+    indices meanwhile. Both index arrays come in the narrowest unsigned dtype
+    that holds n-1, each narrowed before anything else is done with it, so a
+    batch holds few bytes per move besides its offsets.
     """
     if n_particles < 2:
         raise ValueError(f"n_particles must be >= 2, got {n_particles}")
     index = np.min_scalar_type(n_particles - 1)
     ii = rng.integers(0, n_particles, size=count).astype(index)
-    jj = rng.integers(0, n_particles - 1, size=count)
+    jj = rng.integers(0, n_particles - 1, size=count).astype(index)
     jj += jj >= ii
-    jj = jj.astype(index)
-    dd = offsets.sample(rng, count)
-    return ii, jj, dd
+    return ii, jj
 
 
 def renormalise(positions: np.ndarray) -> np.ndarray:
@@ -271,17 +273,23 @@ def run(config: SimConfig) -> Trajectory:
     run with steps=0 records exactly one frame. Steps after the last frame
     change no frame, so they are not applied.
 
-    A worker thread applies batch k while this thread draws batch k+1, so at
-    most two batches are alive at once. Every batch is allocated here and
-    the worker is joined on every exit path.
-
     Each batch is cut at its stops: the frames it reaches and its end, since
     the next batch's reads are unknown. With at least
     ``LINEAGE_MIN_PARTICLES`` particles, a gap between stops of at least n**2
-    moves is cut down, on this thread before the hand-off, to its lineage
-    moves (``lineage_moves``); every other gap is applied whole. The frames
-    are bit-identical either way; ``Trajectory.moves_applied`` counts the
-    moves the loop applied.
+    moves is cut down to its lineage moves (``lineage_moves``); every other
+    gap is applied whole. The frames are bit-identical either way;
+    ``Trajectory.moves_applied`` counts the moves the loop applied.
+
+    This thread draws a batch's indices (``draw_moves``) and then its offsets.
+    If the batch has a gap to cut down, a helper thread chases its lineages on
+    the indices meanwhile, and is joined once the offsets are drawn. The kept
+    moves are gathered here and handed to a worker thread, which applies
+    batch k while this thread draws batch k+1. The chase stays off the worker:
+    a worker that applies only kept moves is done with its batch, and frees
+    it, long before the next batch's offsets are drawn, while one that chased
+    would hold its batch's offsets beside them. Every batch is allocated
+    here, a failure on either thread is re-raised here, and both threads are
+    joined on every exit path.
     """
     rng = np.random.default_rng(config.seed)
     x = _initial_positions(config, rng)
@@ -296,6 +304,14 @@ def run(config: SimConfig) -> Trajectory:
     # gaps of at least this many moves are cut down to their lineage moves
     shortest = n * n if n >= LINEAGE_MIN_PARTICLES else math.inf
     failure: list[BaseException] = []
+
+    def chase(ii, jj, gaps: list, kept: dict) -> None:
+        # the lineage moves of each gap (a, b), keyed by b
+        try:
+            for a, b in gaps:
+                kept[b] = lineage_moves(ii, jj, a, b, n)
+        except BaseException as exc:  # re-raised on the calling thread
+            failure.append(exc)
 
     def apply(moves, frames: range, end: int, lineages: dict) -> None:
         # steps 1..end of the batch; records the frames at the offsets `frames`
@@ -318,20 +334,31 @@ def run(config: SimConfig) -> Trajectory:
     applied = 0
     try:
         for start in range(0, last, CHUNK):
-            moves = draw_moves(rng, n, config.offsets, min(CHUNK, total - start))
-            end = min(len(moves[0]), last - start)
+            count = min(CHUNK, total - start)
+            ii, jj = draw_moves(rng, n, count)
+            end = min(count, last - start)
             reached = len(range(burn_in, start + end + 1, config.thin))
             due = schedule[planned:reached]
             frames = range(due.start - start, due.stop - start, config.thin)
             planned = reached
-            lineages = {}
+            chased = []
             for a, b in _gaps(frames, end):
                 if b - a < shortest:
                     applied += b - a
-                    continue
-                kept = lineage_moves(moves[0], moves[1], a, b, n)
-                lineages[b] = tuple(memoryview(v[kept]) for v in moves)
-                applied += len(kept)
+                else:
+                    chased.append((a, b))
+            kept = {}
+            helper = threading.Thread(target=chase, args=(ii, jj, chased, kept))
+            if chased:
+                helper.start()
+            try:
+                dd = config.offsets.sample(rng, count)
+            finally:
+                if chased:
+                    helper.join()
+            moves = ii, jj, dd
+            lineages = {b: tuple(memoryview(v[k]) for v in moves) for b, k in kept.items()}
+            applied += sum(map(len, kept.values()))
             if worker is not None:
                 worker.join()
             if failure:
@@ -340,7 +367,7 @@ def run(config: SimConfig) -> Trajectory:
             worker.start()
             # the worker holds the only references, so a batch is freed as
             # soon as it is applied, not after the next draw
-            del moves, lineages
+            del moves, lineages, ii, jj, dd, kept
     finally:
         if worker is not None:
             worker.join()

@@ -48,6 +48,18 @@ def test_moments_json_and_sigma_scaling(tmp_path):
     assert data["rows"][1] == {"order": 2, "num": 1, "den": 2, "value": 0.5 * 0.1**2}
 
 
+def test_moments_manifest_phases(tmp_path):
+    out = tmp_path / "m.json"
+    assert run_cli("moments", "--max-order", 8, "--out", out) == 0
+    # the build's cost goes in the manifest, never in the payload
+    phases = read_json(tmp_path / "m.json.manifest.json")["phases"]
+    assert set(phases) == {"build_s", "table_entries"}
+    assert isinstance(phases["build_s"], float) and phases["build_s"] >= 0
+    # one numerator per partition of 0, 2, 4, 6 and 8: 1 + 2 + 5 + 11 + 22
+    assert phases["table_entries"] == 41
+    assert "phases" not in read_json(out)
+
+
 def test_moments_guard(tmp_path, capsys):
     out = tmp_path / "m.json"
     assert run_cli("moments", "--max-order", 80, "--out", out) == 2

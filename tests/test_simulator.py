@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,13 @@ import pytest
 
 from turnover import offsets, simulator
 from turnover.empirical import batch_means_se
+
+
+def _draw(rng, n, dist, count):
+    """A batch of moves (i, j, delta) in the stream's order: the indices of
+    ``draw_moves``, then the offsets."""
+    ii, jj = simulator.draw_moves(rng, n, count)
+    return ii, jj, dist.sample(rng, count)
 
 
 def test_run_matches_straight_line_reimplementation():
@@ -20,7 +28,7 @@ def test_run_matches_straight_line_reimplementation():
     trajectory = simulator.run(config)
 
     rng = np.random.default_rng(42)
-    ii, jj, dd = simulator.draw_moves(rng, 4, dist, 10)
+    ii, jj, dd = _draw(rng, 4, dist, 10)
     x = [0.0, 0.0, 0.0, 0.0]
     reference = [list(x)]
     for i, j, d in zip(ii, jj, dd):
@@ -33,7 +41,7 @@ def test_run_matches_straight_line_reimplementation():
 
 def test_sample_pair_always_distinct():
     rng = np.random.default_rng(0)
-    ii, jj, _ = simulator.draw_moves(rng, 2, offsets.gaussian(1.0), 200)
+    ii, jj = simulator.draw_moves(rng, 2, 200)
     for i, j in zip(ii.tolist(), jj.tolist()):
         assert {i, j} == {0, 1}
 
@@ -41,17 +49,16 @@ def test_sample_pair_always_distinct():
 def test_sample_pair_frequencies_two_particles():
     rng = np.random.default_rng(1)
     n = 100_000
-    ii, jj, _ = simulator.draw_moves(rng, 2, offsets.gaussian(1.0), n)
+    ii, jj = simulator.draw_moves(rng, 2, n)
     count01 = int(np.count_nonzero((ii == 0) & (jj == 1)))
     se = math.sqrt(0.25 / n)
     assert abs(count01 / n - 0.5) < 4 * se
 
 
 def test_sample_pair_frequencies_five_particles():
-    dist = offsets.gaussian(1.0)
     rng = np.random.default_rng(2)
     n = 1_000_000
-    ii, jj, _ = simulator.draw_moves(rng, 5, dist, n)
+    ii, jj = simulator.draw_moves(rng, 5, n)
     assert np.all(ii != jj)
     codes = ii * 5 + jj
     counts = np.bincount(codes, minlength=25).reshape(5, 5)
@@ -152,7 +159,7 @@ def _evolve_rows_directly(config):
     n = config.n_particles
     root = math.sqrt(n)
     total = config.resolved_burn_in + config.steps
-    ii, jj, dd = simulator.draw_moves(rng, n, config.offsets, total)
+    ii, jj, dd = _draw(rng, n, config.offsets, total)
     row = np.zeros(n - 1)
     rows = [row]
     for i, j, d in zip(ii, jj, dd):
@@ -270,7 +277,7 @@ def _replay_in_chunks(config, chunk):
     x = [0.0] * n
     moves = []
     for start in range(0, total, chunk):
-        ii, jj, dd = simulator.draw_moves(rng, n, config.offsets, min(chunk, total - start))
+        ii, jj, dd = _draw(rng, n, config.offsets, min(chunk, total - start))
         moves.extend(zip(ii.tolist(), jj.tolist(), dd.tolist()))
     times = list(range(burn_in, total + 1, config.thin))
     frames = [list(x)] if 0 in times else []
@@ -347,7 +354,7 @@ def test_lineage_moves_equal_a_backward_scan(n):
     dist = offsets.gaussian(1.0)
     for _ in range(30):
         size = int(rng.integers(1, 400))
-        ii, jj, dd = simulator.draw_moves(rng, n, dist, size)
+        ii, jj, dd = _draw(rng, n, dist, size)
         a, b = sorted(rng.integers(0, size + 1, 2).tolist())
         expected = _backward_scan(ii.tolist(), jj.tolist(), a, b, n)
         for block in (1, 7, 1 << 16):
@@ -410,6 +417,16 @@ def test_run_trajectory_digest(kind, n, steps, burn_in, thin, init, digest):
     assert h.hexdigest() == digest
 
 
+def _traced_peak(config):
+    tracemalloc.start()
+    try:
+        trajectory = simulator.run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return trajectory, peak
+
+
 def test_run_memory_is_bounded_by_the_output(monkeypatch):
     # long runs hold the recorded frames and a few draw batches, not Python
     # objects per recorded value
@@ -425,17 +442,33 @@ def test_run_memory_is_bounded_by_the_output(monkeypatch):
             seed=22,
             thin=thin,
         )
-        tracemalloc.start()
-        try:
-            trajectory = simulator.run(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        trajectory, peak = _traced_peak(config)
         assert trajectory.n_frames == n_frames
         # a draw holds about five batch-sized arrays at once: jumpers, targets,
         # the shift mask and the offsets with their unscaled copy
         budget = trajectory.positions.nbytes + 6 * chunk * 8
         assert peak < budget, f"thin={thin}: traced peak {peak} B over budget {budget} B"
+    # frames on the seams: every gap is a whole batch and is cut down. The
+    # worker applies only the kept moves, so it frees its batch before the
+    # next one's offsets are drawn, and two batches' offsets (16 B a move) are
+    # never alive at once, as they would be if the worker chased. The peak is
+    # one batch's offsets and indices (10 B a move) beside the chase's keys
+    # (8 B a move of a block, a quarter batch), or the draw's int64 indices.
+    chunk = 1 << 18
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    config = simulator.SimConfig(
+        n_particles=100,
+        offsets=offsets.gaussian(0.1),
+        steps=3 * chunk,
+        burn_in=0,
+        seed=22,
+        thin=chunk,
+    )
+    trajectory, peak = _traced_peak(config)
+    assert trajectory.n_frames == 4
+    assert trajectory.moves_applied < chunk
+    budget = trajectory.positions.nbytes + 2 * chunk * 8
+    assert peak < budget, f"frames on the seams: traced peak {peak} B over budget {budget} B"
 
 
 @pytest.mark.parametrize(
@@ -443,7 +476,7 @@ def test_run_memory_is_bounded_by_the_output(monkeypatch):
 )
 def test_draw_moves_indices_are_narrow_and_equal_an_int64_replay(n, dtype):
     dist = offsets.gaussian(0.1)
-    ii, jj, dd = simulator.draw_moves(np.random.default_rng(5), n, dist, 10_000)
+    ii, jj, dd = _draw(np.random.default_rng(5), n, dist, 10_000)
     # the narrowest unsigned type that holds n-1
     assert ii.dtype == jj.dtype == np.dtype(dtype)
     rng = np.random.default_rng(5)
@@ -491,10 +524,10 @@ def test_run_propagates_a_worker_failure(monkeypatch):
     monkeypatch.setattr(simulator, "CHUNK", 5)
 
     def bad_jumper(moves):
-        ii, jj, dd = moves
+        ii, jj = moves
         ii = ii.copy()
         ii[0] = 4  # no particle 4 among 4: the loop on the worker fails
-        return ii, jj, dd
+        return ii, jj
 
     _failing_draws(monkeypatch, 2, bad_jumper)
     config = simulator.SimConfig(
@@ -503,6 +536,62 @@ def test_run_propagates_a_worker_failure(monkeypatch):
     before = threading.active_count()
     with pytest.raises(IndexError):
         simulator.run(config)
+    assert threading.active_count() == before
+
+
+def _chased_config(monkeypatch):
+    """Batches of 64 moves with frames 16 apart at n = 3, so that every gap is
+    cut down to its lineage moves on a helper thread."""
+    monkeypatch.setattr(simulator, "CHUNK", 64)
+    monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
+    return simulator.SimConfig(
+        n_particles=3, offsets=offsets.gaussian(1.0), steps=320, burn_in=0, seed=3, thin=16
+    )
+
+
+def test_run_propagates_a_chase_failure(monkeypatch):
+    config = _chased_config(monkeypatch)
+    chase = simulator.lineage_moves
+    calls = []
+
+    def lineage_moves(*args):
+        calls.append(None)
+        if len(calls) == 6:  # in the second batch, with a worker started
+            raise RuntimeError("chase failed")
+        return chase(*args)
+
+    monkeypatch.setattr(simulator, "lineage_moves", lineage_moves)
+    before = threading.active_count()
+    # a lost failure would apply the whole gap and return a valid-looking run
+    with pytest.raises(RuntimeError, match="chase failed"):
+        simulator.run(config)
+    assert len(calls) == 6
+    assert threading.active_count() == before
+
+
+def test_run_joins_the_chase_when_the_offset_draw_fails(monkeypatch):
+    config = _chased_config(monkeypatch)
+    chase = simulator.lineage_moves
+    started, finished = threading.Event(), []
+
+    def lineage_moves(*args):
+        started.set()
+        time.sleep(0.05)
+        finished.append(None)
+        return chase(*args)
+
+    def sample(self, rng, size):
+        # the chase of this batch is running while the draw fails
+        assert started.wait(10)
+        raise RuntimeError("offsets failed")
+
+    monkeypatch.setattr(simulator, "lineage_moves", lineage_moves)
+    monkeypatch.setattr(offsets.OffsetDistribution, "sample", sample)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="offsets failed"):
+        simulator.run(config)
+    # the failed draw waited for the chase before it left run
+    assert finished
     assert threading.active_count() == before
 
 
@@ -521,5 +610,19 @@ def test_run_leaves_no_thread_behind(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
+    _, frames = _replay_in_chunks(config, 7)
+    np.testing.assert_array_equal(trajectory.positions, frames)
+    # the same at n = 2, where most gaps are cut down on a helper thread
+    monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
+    config = simulator.SimConfig(
+        n_particles=2, offsets=offsets.gaussian(0.1), steps=3000, burn_in=3, seed=4, thin=9
+    )
+    sys.setswitchinterval(1e-6)
+    try:
+        trajectory = simulator.run(config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert trajectory.moves_applied < 3003
     _, frames = _replay_in_chunks(config, 7)
     np.testing.assert_array_equal(trajectory.positions, frames)

@@ -51,7 +51,17 @@ def test_method_targets_resolve(target):
              "--seed", "1", "--out", "d.json"],
             {"simulator.run", "simulator.draw_moves", "offsets.sample",
              "empirical.summarize", "empirical.kde"},
-            # the draws run on the calling thread, inside the run's span
+            # the draws run on the calling thread, directly in the run's span
+            {"simulator.draw_moves": "simulator.run", "offsets.sample": "simulator.run"},
+        ),
+        (
+            # thin = n**2: the gaps are cut down to their lineage moves by a
+            # helper thread while the offsets are drawn
+            ["simulate", "--particles", "64", "--sigma", "0.1", "--steps", "8192",
+             "--thin", "4096", "--seed", "1", "--out", "d.json"],
+            {"simulator.run", "simulator.draw_moves", "offsets.sample"},
+            # the tracer's span stack is not per thread: a traced call made
+            # off the calling thread would nest in whatever span is open there
             {"simulator.draw_moves": "simulator.run", "offsets.sample": "simulator.run"},
         ),
         (["moments", "--max-order", "6", "--out", "m.json"], {"moments.build_phi_table"}, {}),
@@ -60,7 +70,7 @@ def test_method_targets_resolve(target):
         (["cf", "--mode", "psiN", "--n", "4", "--sigma", "0.1", "--grid", "0:5:3",
           "--out", "psi.csv"], {"charfn.distance_cf"}, {}),
     ],
-    ids=["simulate", "moments", "cf-phiN", "cf-psiN"],
+    ids=["simulate", "simulate-lineage", "moments", "cf-phiN", "cf-psiN"],
 )
 def test_traced_cli_run_records_hook_attributes(tmp_path, argv, spans, nested):
     # the hooks run on real calls, so a renamed parameter fails here
@@ -78,9 +88,5 @@ def test_traced_cli_run_records_hook_attributes(tmp_path, argv, spans, nested):
     for name, outer in nested.items():
         for span in recorded:
             if span["name"] == name:
-                enclosing = []
                 parent = span["parent"]
-                while parent is not None:
-                    enclosing.append(recorded[parent]["name"])
-                    parent = recorded[parent]["parent"]
-                assert outer in enclosing, (name, enclosing)
+                assert parent is not None and recorded[parent]["name"] == outer, name
