@@ -7,7 +7,6 @@ from .charfn import (
     distance_cf,
     distance_cf_limit,
     distance_pair_cf_three,
-    distance_pair_pdf_three,
     distance_pdf,
     distances_joint_cf,
     distances_joint_cf_limit,
@@ -39,10 +38,8 @@ from .simulator import (
     Trajectory,
     distance_row,
     draw_moves,
-    reconstruct_first,
     renormalise,
     run,
-    step_distance_row,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +58,6 @@ __all__ = [
     "distance_cf",
     "distance_cf_limit",
     "distance_pair_cf_three",
-    "distance_pair_pdf_three",
     "distance_pdf",
     "distance_row",
     "distances_joint_cf",
@@ -79,10 +75,8 @@ __all__ = [
     "partitions",
     "phi_base",
     "prune",
-    "reconstruct_first",
     "renormalise",
     "run",
-    "step_distance_row",
     "summarize",
     "two_point",
     "uniform",

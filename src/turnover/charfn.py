@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .offsets import GAUSSIAN, OffsetDistribution
+from .offsets import OffsetDistribution
 
 # Exact diagonal evaluation is exponential-ish in the recursion depth; this
 # caps n for diagonal modes and k for general joint arguments. Overridable
@@ -113,36 +113,6 @@ def distance_pdf(y, n_particles: int, sigma: float, eps: float = 1e-10):
         z = block[:, None] ** 2 / (2.0 * var[None, :])
         out[start : start + rows] = (np.exp(log_w[None, :] - z) * norm).sum(axis=1)
     return out.reshape(y.shape)[()]
-
-
-def _scaled_offset_pdf(x, n_particles: int, offsets: OffsetDistribution):
-    """Density of offset/sqrt(n)."""
-    root = math.sqrt(n_particles)
-    return root * offsets.pdf(x * root)
-
-
-def distance_pair_pdf_three(
-    y1, y2, sigma: float, eps: float = 1e-10
-) -> float | np.ndarray:
-    """Joint density of two distances sharing a particle, for n=3, gaussian
-    offsets: the symmetric six-term product form."""
-    offsets = OffsetDistribution(GAUSSIAN, sigma)
-
-    def rho_d(v):
-        return distance_pdf(v, 3, sigma, eps)
-
-    def rho_off(v):
-        return _scaled_offset_pdf(v, 3, offsets)
-
-    diff = y1 - y2
-    return (
-        rho_d(diff) * rho_off(y1)
-        + rho_d(diff) * rho_off(y2)
-        + rho_d(y2) * rho_off(y1)
-        + rho_d(y2) * rho_off(diff)
-        + rho_d(y1) * rho_off(y2)
-        + rho_d(y1) * rho_off(diff)
-    ) / 6.0
 
 
 # ---------------------------------------------------------------------------

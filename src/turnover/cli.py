@@ -610,7 +610,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma", type=float, required=True)
     sim.add_argument("--offset", default="gaussian", choices=offset_kinds)
     sim.add_argument("--steps", type=int, required=True)
-    sim.add_argument("--burn-in", type=int, default=None, dest="burn_in")
+    sim.add_argument(
+        "--burn-in", type=int, default=None, dest="burn_in",
+        help="moves before the first recorded frame (default: 100 * particles; "
+        "a distance relaxes over about particles**2 / 2 moves, so the default "
+        "is too short beyond 200 particles)",
+    )
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--thin", type=int, default=None)
     sim.add_argument(

@@ -5,19 +5,19 @@ uniformly among the n*(n-1) possibilities, an offset delta is drawn, and
 particle i jumps to ``x[j] + delta``; all other particles stay put.
 
 The module also provides the renormalised view (positions centred by the
-ensemble mean and scaled by 1/sqrt(n)), the row of inter-particle distances
-``D_j = xbar[0] - xbar[j]``, the reconstruction of ``xbar[0]`` from that row,
-and the equivalent direct update of the distance row.
+ensemble mean and scaled by 1/sqrt(n)) and the row of inter-particle
+distances ``D_j = xbar[0] - xbar[j]``.
 
-``run`` works on three threads, one draw batch at a time. The calling thread
-draws every random number, in the stream's order. A short-lived helper
-thread follows the batch's lineages (below) on its index arrays while the
-calling thread draws its offsets. A worker thread applies the kept moves and
-records the frames while the calling thread draws the next batch. numpy
-releases the GIL inside its random fills and large ufuncs, so the draws
-overlap the Python-level chase and jump loop. The stream is consumed exactly
-as by a single thread: the same calls on the same generator in the same
-order, so the trajectory depends on the seed alone.
+``run`` works on two threads, one draw batch at a time. The calling thread
+draws every random number, in the stream's order: a batch's indices, then its
+offsets. One worker thread runs everything else in the order it is handed
+over: it follows the batch's lineages (below) on its index arrays while the
+calling thread draws its offsets, and it applies the kept moves and records
+the frames while the calling thread draws the next batch. numpy releases the
+GIL inside its random fills and large ufuncs, so the draws overlap the
+Python-level chase and jump loop. The stream is consumed exactly as by a
+single thread: the same calls on the same generator in the same order, so the
+trajectory depends on the seed alone.
 
 Only the moves a recorded frame can see are applied. The jump is a Moran
 resampling step: traced back from a frame, the lineages of the n particles
@@ -27,15 +27,15 @@ least n**2 moves between two stops (recorded frames and batch ends) ``run``
 follows each particle's lineage back from the stop and applies only the moves
 on it, once n is at least ``LINEAGE_MIN_PARTICLES``. Each of those moves reads
 the value the full loop would give it, so every frame is bit-identical to
-applying all moves. The chase needs only the indices, so it runs beside the
-offset draw of its own batch. It is not left to the worker: the worker would
-then hold a whole batch, offsets included, while the next one is drawn.
+applying all moves. The chase needs only the indices, so it is handed over
+before the batch's offsets are drawn and runs once the previous batch's moves
+are applied. It is not run inside the apply step: a worker that chased batch k
+there would hold its offsets while those of batch k+1 are drawn.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -62,8 +62,12 @@ INIT_KINDS = ("all_zero", "iid_gaussian", "iid_uniform")
 class SimConfig:
     """Configuration of one simulation run.
 
-    ``burn_in=None`` resolves to ``100 * n_particles``, a conservative
-    equilibration window (the one-distance marginal relaxes geometrically).
+    ``burn_in=None`` resolves to ``100 * n_particles``. That is not an
+    equilibration window for large n: a distance relaxes at the rate at
+    which its two particles' lineages coalesce, 2/(n(n-1)) per move, so over
+    about n**2/2 moves, which is longer than the default once n > 200, and
+    the lineages of all n particles coalesce only after about n**2 moves.
+    Pass a burn-in of a few n**2 for frames near stationarity at any n.
     Every ``thin``-th post-burn-in state is recorded, starting with the state
     reached at the end of burn-in.
     """
@@ -132,38 +136,6 @@ def distance_row(xbar: np.ndarray) -> np.ndarray:
     """Row (xbar[0]-xbar[1], ..., xbar[0]-xbar[n-1]) of length n-1."""
     xbar = np.asarray(xbar, dtype=float)
     return xbar[..., :1] - xbar[..., 1:]
-
-
-def reconstruct_first(row: np.ndarray) -> float:
-    """Recover xbar[0] as the sum of its distance row divided by n."""
-    row = np.asarray(row, dtype=float)
-    n = row.shape[-1] + 1
-    return row.sum(axis=-1) / n
-
-
-def step_distance_row(
-    row: np.ndarray, i: int, j: int, delta_scaled: float
-) -> np.ndarray:
-    """Advance the distance row directly, given the move (i, j) and the
-    already-scaled offset delta/sqrt(n).
-
-    Mirrors the single-coordinate jump: with the same move sequence it
-    reproduces ``distance_row(renormalise(...))`` applied to the evolving
-    positions (exactly so when all quantities are dyadic).
-    """
-    row = np.asarray(row, dtype=float)
-    new = row.copy()
-    if i == 0:
-        # particle 0 jumps next to j: every distance is measured from its
-        # new position x[j] + delta
-        d0j = row[j - 1]
-        new = row - d0j + delta_scaled
-        new[j - 1] = delta_scaled
-    elif j == 0:
-        new[i - 1] = -delta_scaled
-    else:
-        new[i - 1] = row[j - 1] - delta_scaled
-    return new
 
 
 @dataclass
@@ -280,17 +252,21 @@ def run(config: SimConfig) -> Trajectory:
     gap is applied whole. The frames are bit-identical either way;
     ``Trajectory.moves_applied`` counts the moves the loop applied.
 
-    This thread draws a batch's indices (``draw_moves``) and then its offsets.
-    If the batch has a gap to cut down, a helper thread chases its lineages on
-    the indices meanwhile, and is joined once the offsets are drawn. The kept
-    moves are gathered here and handed to a worker thread, which applies
-    batch k while this thread draws batch k+1. The chase stays off the worker:
-    a worker that applies only kept moves is done with its batch, and frees
-    it, long before the next batch's offsets are drawn, while one that chased
-    would hold its batch's offsets beside them. Every batch is allocated
-    here, a failure on either thread is re-raised here, and both threads are
+    This thread draws a batch's indices (``draw_moves``) and hands their
+    lineage chase to the worker thread, which runs it once the previous
+    batch's moves are applied, while this thread draws the batch's offsets.
+    The chase reads the indices alone, so it runs before the batch's offsets
+    exist and keeps none alive. The kept moves are gathered here and handed
+    back to the worker, which applies batch k while this thread draws batch
+    k+1. A batch whose gaps are all cut down is not handed over, so only its
+    few kept moves outlive its draw. The worker is one executor thread: a
+    failure there is re-raised here through its future, and the thread is
     joined on every exit path.
     """
+    # imported here, not at the top: it pulls in logging, which no other
+    # command needs at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(config.seed)
     x = _initial_positions(config, rng)
     n = config.n_particles
@@ -303,36 +279,28 @@ def run(config: SimConfig) -> Trajectory:
     frame = 0  # the next frame to record
     # gaps of at least this many moves are cut down to their lineage moves
     shortest = n * n if n >= LINEAGE_MIN_PARTICLES else math.inf
-    failure: list[BaseException] = []
 
-    def chase(ii, jj, gaps: list, kept: dict) -> None:
+    def chase(ii, jj, gaps: list) -> dict:
         # the lineage moves of each gap (a, b), keyed by b
-        try:
-            for a, b in gaps:
-                kept[b] = lineage_moves(ii, jj, a, b, n)
-        except BaseException as exc:  # re-raised on the calling thread
-            failure.append(exc)
+        return {b: lineage_moves(ii, jj, a, b, n) for a, b in gaps}
 
     def apply(moves, frames: range, end: int, lineages: dict) -> None:
         # steps 1..end of the batch; records the frames at the offsets `frames`
         nonlocal frame
-        try:
-            # memoryviews hand out Python ints and floats one at a time, which
-            # is faster than tolist() and builds no per-batch lists
-            iv, jv, dv = map(memoryview, moves)
-            for a, b in _gaps(frames, end):
-                for i, j, d in zip(*(lineages.get(b) or (iv[a:b], jv[a:b], dv[a:b]))):
-                    x[i] = x[j] + d
-                if b in frames:
-                    positions[frame] = x
-                    frame += 1
-        except BaseException as exc:  # re-raised on the calling thread
-            failure.append(exc)
+        # memoryviews hand out Python ints and floats one at a time, which is
+        # faster than tolist() and builds no per-batch lists
+        views = [memoryview(v) for v in moves]
+        for a, b in _gaps(frames, end):
+            for i, j, d in zip(*(lineages.get(b) or [v[a:b] for v in views])):
+                x[i] = x[j] + d
+            if b in frames:
+                positions[frame] = x
+                frame += 1
 
-    worker = None
-    planned = 0  # frames handed to a worker
+    applying = None
+    planned = 0  # frames handed to the worker
     applied = 0
-    try:
+    with ThreadPoolExecutor(1) as worker:
         for start in range(0, last, CHUNK):
             count = min(CHUNK, total - start)
             ii, jj = draw_moves(rng, n, count)
@@ -341,38 +309,23 @@ def run(config: SimConfig) -> Trajectory:
             due = schedule[planned:reached]
             frames = range(due.start - start, due.stop - start, config.thin)
             planned = reached
-            chased = []
-            for a, b in _gaps(frames, end):
-                if b - a < shortest:
-                    applied += b - a
-                else:
-                    chased.append((a, b))
-            kept = {}
-            helper = threading.Thread(target=chase, args=(ii, jj, chased, kept))
-            if chased:
-                helper.start()
-            try:
-                dd = config.offsets.sample(rng, count)
-            finally:
-                if chased:
-                    helper.join()
+            chased = [(a, b) for a, b in _gaps(frames, end) if b - a >= shortest]
+            # queued behind the previous batch's moves, beside this offset draw
+            chasing = worker.submit(chase, ii, jj, chased)
+            dd = config.offsets.sample(rng, count)
+            kept = chasing.result()
             moves = ii, jj, dd
             lineages = {b: tuple(memoryview(v[k]) for v in moves) for b, k in kept.items()}
-            applied += sum(map(len, kept.values()))
-            if worker is not None:
-                worker.join()
-            if failure:
-                break
-            worker = threading.Thread(target=apply, args=(moves, frames, end, lineages))
-            worker.start()
-            # the worker holds the only references, so a batch is freed as
-            # soon as it is applied, not after the next draw
+            whole = end - sum(b - a for a, b in chased)  # moves of the uncut gaps
+            applied += whole + sum(map(len, kept.values()))
+            if applying is not None:
+                applying.result()
+            # a batch with no uncut gap is not handed over, so it is freed here
+            # whichever thread runs first; otherwise the worker frees it
+            applying = worker.submit(apply, moves if whole else (), frames, end, lineages)
             del moves, lineages, ii, jj, dd, kept
-    finally:
-        if worker is not None:
-            worker.join()
-    if failure:
-        raise failure[0]
+        if applying is not None:
+            applying.result()
     # only a run whose last frame needs no step gets here with a frame left:
     # the initial state at time 0
     positions[frame:] = x

