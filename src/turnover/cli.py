@@ -68,9 +68,10 @@ class CliError(Exception):
 
 
 # What a command hands back to ``main``, which writes the manifest and prints
-# the first output path: (output paths, config echo, seed, exit status,
+# the first output path: (output paths, config echo, exit status,
 # manifest-only entries such as timings, which stay out of the payloads).
-CommandResult = tuple[list[str], dict, int | None, int, dict]
+# The manifest's seed is the config echo's ``seed``, null where it has none.
+CommandResult = tuple[list[str], dict, int, dict]
 
 
 def _resolve(path: str) -> str:
@@ -123,41 +124,6 @@ def _environment() -> dict:
             + ([f"with-{libc}"] if libc else [])
         ),
     }
-
-
-def _write_manifest(
-    path: str,
-    command: str,
-    argv: list[str],
-    config: dict,
-    seed: int | None,
-    started: str,
-    outputs: list[str],
-    extra: dict,
-) -> None:
-    _write_json(
-        path,
-        {
-            "schema_version": 1,
-            "command": command,
-            "argv": argv,
-            "config": config,
-            "seed": seed,
-            "code_version": __version__,
-            "environment": _environment(),
-            "started_utc": started,
-            "finished_utc": _utcnow(),
-            "outputs": [
-                {
-                    "path": os.path.basename(p),
-                    "sha256": _sha256(p),
-                    "bytes": os.path.getsize(p),
-                }
-                for p in outputs
-            ],
-            **extra,
-        },
-    )
 
 
 def _peak_rss_mb() -> float:
@@ -307,10 +273,21 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
         "peak_rss_mb": _peak_rss_mb(),
         "moves_applied": trajectory.moves_applied,
     }
-    return outputs, summary.config, args.seed, 0, {"phases": phases}
+    return outputs, summary.config, 0, {"phases": phases}
 
 
 # ---------------------------------------------------------------------- moments
+
+
+def _phi_table(max_order: int):
+    """The exact moment table to ``max_order``, refused past ``ORDER_LIMIT``.
+    ``build_phi_table`` is looked up by name at call time, so rebinding it
+    (as a tracer does) reaches every command that builds a table."""
+    if max_order > ORDER_LIMIT:
+        raise ResourceLimitError(
+            f"--max-order {max_order} exceeds the feasibility guard {ORDER_LIMIT}"
+        )
+    return build_phi_table(max_order)
 
 
 def cmd_moments(args: argparse.Namespace) -> CommandResult:
@@ -318,12 +295,8 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
         raise CliError("--max-order must be >= 2")
     if not (args.sigma > 0 and math.isfinite(args.sigma)):
         raise CliError(f"--sigma must be a positive finite real, got {args.sigma!r}")
-    if args.max_order > ORDER_LIMIT:
-        raise ResourceLimitError(
-            f"--max-order {args.max_order} exceeds the feasibility guard {ORDER_LIMIT}"
-        )
     clock = time.perf_counter()
-    table = build_phi_table(args.max_order)
+    table = _phi_table(args.max_order)
     phases = {"build_s": time.perf_counter() - clock, "table_entries": table.stored}
     rows = []
     for order in range(1, args.max_order + 1):
@@ -351,7 +324,7 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
             },
         )
     config = {"max_order": args.max_order, "sigma": args.sigma, "format": args.format}
-    return [out], config, None, 0, {"phases": phases}
+    return [out], config, 0, {"phases": phases}
 
 
 # ---------------------------------------------------------------------- cf
@@ -426,15 +399,34 @@ def cmd_cf(args: argparse.Namespace) -> CommandResult:
         "eps": args.eps,
         "cap": args.cap,
     }
-    return [out], config, None, 0, {}
+    return [out], config, 0, {}
 
 
 # ---------------------------------------------------------------------- compare
 
 
 def _read_summary(path: str) -> EmpiricalSummary:
+    """The summary in ``path``; a file that is not one raises ``CliError``."""
     with open(_resolve(path), "r", encoding="utf-8") as fh:
-        return EmpiricalSummary.from_json_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        summary = EmpiricalSummary.from_json_dict(data)
+    except (KeyError, TypeError) as exc:
+        raise CliError(f"{path!r} is not a summary ({type(exc).__name__}: {exc})") from None
+    if not isinstance(summary.config, dict) or not summary.config:
+        raise CliError(f"summary {path!r} carries no config block")
+    return summary
+
+
+def _check_config(name: str, config: dict, expected: dict, source: str) -> None:
+    """Raise ``CliError`` at the first key of ``expected`` whose value in the
+    ``name`` summary's config differs from the one ``source`` gives."""
+    for key, value in expected.items():
+        if config.get(key) != value:
+            raise CliError(
+                f"{name} {key} mismatch: {name} has {config.get(key)!r}, "
+                f"{source} has {value!r}"
+            )
 
 
 def cmd_compare(args: argparse.Namespace) -> CommandResult:
@@ -447,20 +439,10 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
     _check_eps(args.eps)
     summary = _read_summary(args.summary)
     cfg = summary.config
-    if not cfg:
-        raise CliError(f"summary {args.summary!r} carries no config block")
-    if cfg.get("sigma") != args.sigma:
-        raise CliError(
-            f"sigma mismatch: summary has {cfg.get('sigma')!r}, flags say {args.sigma!r}"
-        )
-    if cfg.get("n_particles") != args.n:
-        raise CliError(
-            f"n mismatch: summary has {cfg.get('n_particles')!r}, flags say {args.n!r}"
-        )
-    if args.offset is not None and cfg.get("offset") != from_name(args.offset, args.sigma).kind:
-        raise CliError(
-            f"offset mismatch: summary has {cfg.get('offset')!r}, flags say {args.offset!r}"
-        )
+    expected = {"sigma": args.sigma, "n_particles": args.n}
+    if args.offset is not None:
+        expected["offset"] = from_name(args.offset, args.sigma).kind
+    _check_config("summary", cfg, expected, "the command line")
     observable = cfg.get("observable")
     if observable not in ("distances", "positions"):
         raise CliError(
@@ -483,12 +465,8 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         baseline = _read_summary(args.baseline)
         if baseline.config.get("observable") != observable:
             raise CliError(f"baseline is not a {observable} summary")
-        for key in ("sigma", "n_particles", "offset"):
-            if baseline.config.get(key) != cfg.get(key):
-                raise CliError(
-                    f"baseline {key} mismatch: baseline has "
-                    f"{baseline.config.get(key)!r}, summary has {cfg.get(key)!r}"
-                )
+        law = {key: cfg.get(key) for key in ("sigma", "n_particles", "offset")}
+        _check_config("baseline", baseline.config, law, "the summary")
         if len(baseline.raw_moments) < max_order:
             raise CliError(f"baseline has {len(baseline.raw_moments)} moments, need {max_order}")
         exact_moments = baseline.raw_moments
@@ -501,7 +479,7 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         exact_moments = [float(abs(phi_base(order))) * sigma**order for order in orders]
         analytic_cf = {s: float(distance_cf(s, n, offsets)) for s, _re, _im in summary.ecf}
     else:
-        table = build_phi_table(max_order)
+        table = _phi_table(max_order)
         exact_moments = [float(table.moment(order)) * sigma**order for order in orders]
 
     all_pass = True
@@ -586,7 +564,7 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         "n": n,
         "ks_threshold": args.ks_threshold,
     }
-    return [out], config, None, 0 if all_pass else 1, {}
+    return [out], config, 0 if all_pass else 1, {}
 
 
 # ---------------------------------------------------------------------- parser
@@ -706,16 +684,29 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_merge_dash_values(argv))
     started = _utcnow()
     try:
-        outputs, config, seed, status, extra = COMMANDS[args.command](args)
-        _write_manifest(
+        outputs, config, status, extra = COMMANDS[args.command](args)
+        _write_json(
             _resolve(args.manifest or args.out + ".manifest.json"),
-            args.command,
-            argv,
-            config,
-            seed,
-            started,
-            outputs,
-            extra,
+            {
+                "schema_version": 1,
+                "command": args.command,
+                "argv": argv,
+                "config": config,
+                "seed": config.get("seed"),
+                "code_version": __version__,
+                "environment": _environment(),
+                "started_utc": started,
+                "finished_utc": _utcnow(),
+                "outputs": [
+                    {
+                        "path": os.path.basename(p),
+                        "sha256": _sha256(p),
+                        "bytes": os.path.getsize(p),
+                    }
+                    for p in outputs
+                ],
+                **extra,
+            },
         )
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import platform
@@ -244,8 +245,6 @@ def test_simulate_deterministic_and_manifest(tmp_path):
     manifest = read_json(tmp_path / "a.json.manifest.json")
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 7
-    import hashlib
-
     digest = hashlib.sha256(out1.read_bytes()).hexdigest()
     assert manifest["outputs"][0]["sha256"] == digest
     env = manifest["environment"]
@@ -496,6 +495,63 @@ def test_compare_rejects_mismatched_baselines(tmp_path, capsys):
     assert len(read_json(report)["moments"]) == 4
 
 
+def test_compare_rejects_files_that_are_not_summaries(tmp_path, capsys):
+    summary = tmp_path / "d.json"
+    assert run_cli(
+        "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 1000,
+        "--seed", 4, "--out", summary,
+    ) == 0
+    table = tmp_path / "m.json"
+    assert run_cli("moments", "--max-order", 4, "--out", table) == 0
+    data = read_json(summary)
+    files = [(table, "is not a summary")]
+    for name, content, message in (
+        ("c.json", {"sample_count": 3}, "is not a summary"),
+        ("l.json", [1, 2], "is not a summary"),
+        ("b.json", {k: v for k, v in data.items() if k != "config"}, "carries no config block"),
+        ("f.json", dict(data, config=[1]), "carries no config block"),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(content))
+        files.append((path, message))
+    capsys.readouterr()
+    report = tmp_path / "rep.json"
+    for path, message in files:
+        # exit 1 is a failed verdict, so a file that is not a summary must
+        # not crash into it
+        for role in (["--summary", path], ["--summary", summary, "--baseline", path]):
+            assert run_cli("compare", *role, "--sigma", 0.1, "--n", 5, "--out", report) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+    assert not report.exists()
+
+
+def test_compare_positions_keeps_the_order_guard(tmp_path, monkeypatch, capsys):
+    summary = tmp_path / "p.json"
+    assert run_cli(
+        "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 1000, "--seed", 4,
+        "--observe", "positions", "--max-order", 61, "--out", summary,
+    ) == 0
+    built = []
+
+    def guarded_build(max_order):
+        assert max_order <= cli.ORDER_LIMIT, f"table built to order {max_order}"
+        built.append(max_order)
+        return build_phi_table(max_order)
+
+    monkeypatch.setattr(cli, "build_phi_table", guarded_build)
+    report = tmp_path / "rep.json"
+    flags = ["--summary", summary, "--sigma", 0.1, "--n", 5, "--out", report]
+    assert run_cli("compare", *flags, "--max-order", 61) == 2
+    assert "resource limit" in capsys.readouterr().err
+    assert run_cli("moments", "--max-order", 61, "--out", tmp_path / "m.json") == 2
+    assert "resource limit" in capsys.readouterr().err
+    assert built == [] and not report.exists()
+    assert run_cli("compare", *flags, "--max-order", 8) in (0, 1)
+    assert built == [8]
+    assert len(read_json(report)["moments"]) == 8
+
+
 def test_compare_positions_against_exact_moments(tmp_path):
     summary = tmp_path / "p.json"
     assert run_cli(
@@ -547,6 +603,43 @@ def test_compare_report_shape(tmp_path):
     assert report["ks"]["pass"] is (report["ks"]["stat"] <= 0.02)
     assert len(report["density_overlay"]["mixture"]) == len(report["density_overlay"]["grid"])
     assert (code == 0) is report["pass"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "moments", "cf", "compare"])
+def test_manifest_of_every_command(tmp_path, command):
+    summary = tmp_path / "d.json"
+    assert run_cli(
+        "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 1000,
+        "--seed", 4, "--out", summary,
+    ) == 0
+    out = tmp_path / "out.json"
+    argv = {
+        "simulate": ["simulate", "--particles", 3, "--sigma", 0.5, "--steps", 20,
+                     "--seed", 9, "--trajectory-out", tmp_path / "t.csv"],
+        "moments": ["moments", "--max-order", 4],
+        "cf": ["cf", "--mode", "psiN", "--n", 10, "--sigma", 0.1, "--grid", "0:5:3"],
+        "compare": ["compare", "--summary", summary, "--sigma", 0.1, "--n", 5],
+    }[command]
+    manifest_path = tmp_path / "run.manifest.json"
+    assert run_cli(*argv, "--out", out, "--manifest", manifest_path) in (0, 1)
+    assert not (tmp_path / "out.json.manifest.json").exists()
+    manifest = read_json(manifest_path)
+    keys = {
+        "schema_version", "command", "argv", "config", "seed", "code_version",
+        "environment", "started_utc", "finished_utc", "outputs",
+    }
+    if command in ("simulate", "moments"):
+        keys.add("phases")
+    assert set(manifest) == keys
+    assert manifest["command"] == command
+    assert manifest["seed"] == (9 if command == "simulate" else None)
+    assert [entry["path"] for entry in manifest["outputs"]] == (
+        ["out.json", "t.csv"] if command == "simulate" else ["out.json"]
+    )
+    for entry in manifest["outputs"]:
+        payload = (tmp_path / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(payload).hexdigest()
+        assert entry["bytes"] == len(payload)
 
 
 def test_env_var_output_directory(tmp_path, monkeypatch):
