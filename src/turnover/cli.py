@@ -411,10 +411,22 @@ def _read_summary(path: str) -> EmpiricalSummary:
         data = json.load(fh)
     try:
         summary = EmpiricalSummary.from_json_dict(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path!r} is not a summary ({type(exc).__name__}: {exc})") from None
     if not isinstance(summary.config, dict) or not summary.config:
         raise CliError(f"summary {path!r} carries no config block")
+    for key, values in (
+        ("moments", summary.raw_moments),
+        ("se.moments", summary.moment_ses),
+        ("ecf", [v for point in summary.ecf for v in point]),
+        ("se.ecf", summary.ecf_ses),
+        ("ks_laplace", [summary.ks_laplace]),
+    ):
+        for value in values:
+            if not isinstance(value, (int, float)):
+                raise CliError(
+                    f"summary {path!r} has a {key} value that is not a number: {value!r}"
+                )
     return summary
 
 

@@ -14,23 +14,29 @@ offsets. One worker thread runs everything else in the order it is handed
 over: it follows the batch's lineages (below) on its index arrays while the
 calling thread draws its offsets, and it applies the kept moves and records
 the frames while the calling thread draws the next batch. numpy releases the
-GIL inside its random fills and large ufuncs, so the draws overlap the
-Python-level chase and jump loop. The stream is consumed exactly as by a
+GIL inside its random fills and large ufuncs, so the draws overlap the chase
+and the Python-level jump loop. The stream is consumed exactly as by a
 single thread: the same calls on the same generator in the same order, so the
 trajectory depends on the seed alone.
 
 Only the moves a recorded frame can see are applied. The jump is a Moran
 resampling step: traced back from a frame, the lineages of the n particles
-coalesce within about n**2 moves, and after that only the moves of the one
-surviving lineage (about 1 in n) reach the frame. So in every stretch of at
-least n**2 moves between two stops (recorded frames and batch ends) ``run``
-follows each particle's lineage back from the stop and applies only the moves
-on it, once n is at least ``LINEAGE_MIN_PARTICLES``. Each of those moves reads
-the value the full loop would give it, so every frame is bit-identical to
-applying all moves. The chase needs only the indices, so it is handed over
-before the batch's offsets are drawn and runs once the previous batch's moves
-are applied. It is not run inside the apply step: a worker that chased batch k
-there would hold its offsets while those of batch k+1 are drawn.
+coalesce as in Kingman's coalescent, within about n**2 moves, and after that
+only the moves of the one surviving lineage (about 1 in n) reach the frame.
+Before that, a stretch of g moves keeps a share of them that depends on g/n
+alone, (n/g) ln(1 + g/n): 0.40 at 4n, 0.18 at 16n. So ``run`` follows each
+particle's lineage back from a stop (a recorded frame or a batch end) and
+applies only the moves on it, in every stretch between two stops of at least
+n**2 moves once n is at least ``LINEAGE_MIN_PARTICLES``, and of at least
+``SHORT_GAP * n`` moves once n is at least ``SHORT_GAP_PARTICLES``. The
+lineages are followed in numpy, all live ones a step at a time, while enough
+of them are live, and one at a time after that (``lineage_moves``). Each kept
+move reads the value the full loop would give it, so every frame is
+bit-identical to applying all moves. The chase needs only the indices, so it
+is handed over before the batch's offsets are drawn and runs once the
+previous batch's moves are applied. It is not run inside the apply step: a
+worker that chased batch k there would hold its offsets while those of batch
+k+1 are drawn.
 """
 
 from __future__ import annotations
@@ -49,11 +55,24 @@ from .offsets import OffsetDistribution
 # total step count, so trajectories are reproducible from the seed alone.
 CHUNK = 1 << 20
 
-# Fewest particles at which ``run`` applies only lineage moves. Finding a
-# lineage move costs about ten plain applications, and with fewer particles a
-# gap keeps too many of them: the full loop is faster on gaps near n**2, and
-# for n <= 16 on every gap.
+# Fewest particles at which ``run`` applies only lineage moves, on gaps of at
+# least n**2. Finding a lineage move one lineage at a time, as at these n,
+# costs about ten plain applications, and with fewer particles a gap keeps
+# too many of them: the full loop is faster on gaps near n**2, and for
+# n <= 16 on every gap.
 LINEAGE_MIN_PARTICLES = 64
+
+# Fewest particles at which ``run`` also cuts gaps shorter than n**2: from
+# here on a gap of at least ``SHORT_GAP * n`` moves is cut too. Measured in
+# ``run``'s docstring.
+SHORT_GAP_PARTICLES = 1 << 16
+SHORT_GAP = 4
+
+# Fewest live lineages that ``lineage_moves`` follows back in one numpy step;
+# a narrower frontier is walked one lineage at a time. At least 1. Widths of
+# 64 to 256 chased as fast at n = 10**3 to 10**5. At 128 a run at n = 100
+# never takes the numpy step, so its chase is the walk it always was.
+FRONTIER_WIDTH = 128
 
 INIT_KINDS = ("all_zero", "iid_gaussian", "iid_uniform")
 
@@ -187,44 +206,95 @@ def lineage_moves(
     Each particle's lineage is followed back from b: its last write before b,
     then the last write to that move's target before that move, and so on,
     until a move already found or step a. Applied in order from the state at
-    step a, these moves alone give the state at step b, bit for bit.
+    step a, these moves alone give the state at step b, bit for bit. No move
+    may write its own target: ``ii[m] != jj[m]`` for every m, as
+    ``draw_moves`` gives.
 
     The gap is walked back ``block`` moves at a time, so the lookup arrays stay
-    small. In a block the writes to a particle are found by bisection in the
-    block's moves sorted by the packed key ``(jumper << shift) | index``, where
-    ``2**shift`` exceeds every index.
+    small. A block's moves are sorted by the packed key
+    ``(jumper << shift) | index``, where ``2**shift`` exceeds every index, and
+    the lineages live at the block's end are followed back as packed queries
+    ``(particle << shift) | step``. While at least ``FRONTIER_WIDTH`` of them
+    are live, all of them take one step back at once: one ``np.searchsorted``
+    of the sorted queries finds each one's last write, and the writes two
+    lineages share sit side by side. A narrower frontier is walked one lineage
+    at a time by bisection.
     """
     shift = len(ii).bit_length()
     dtype = np.min_scalar_type(n << shift)
     index = (1 << shift) - 1
     targets = memoryview(jj)
     kept = []
-    live = range(n)  # the particles whose values at step hi are read
+    live = np.ones(n, dtype=bool)  # the particles whose values at step hi are read
     for hi in range(b, a, -block):
         lo = max(a, hi - block)
         keys = np.left_shift(ii[lo:hi], shift, dtype=dtype)
         keys |= np.arange(lo, hi, dtype=dtype)
         keys.sort()
-        # the writes to particle q sit at [first[q], first[q + 1]) in time order
-        first = np.searchsorted(keys, np.arange(n + 1, dtype=dtype) << shift).tolist()
-        kv = memoryview(keys)
-        found = set()
-        needed = set()  # the particles whose values at step lo are read
-        for p in live:
-            q, m = p, hi
+        found = np.zeros(hi - lo, dtype=bool)  # the moves kept, from lo on
+        if np.count_nonzero(live) < FRONTIER_WIDTH:
+            needed = np.zeros(n, dtype=bool)  # the particles whose values at lo are read
+            queries = np.flatnonzero(live).astype(dtype) << shift
+            queries |= hi
+        else:
+            # each live lineage's first step back is its particle's last write
+            # in the block, which ends that particle's run of keys. Read off the
+            # keys, not searched for: at n = 10**5 a 1M-move gap chases in
+            # 50 ms this way and 63 ms through the loop below (best of five,
+            # shared 2-vCPU host), and chain-n100k's config runs in 0.57 s
+            # against 0.73 s
+            particle = keys >> shift
+            last = keys[np.r_[particle[1:] != particle[:-1], True]]
+            needed = live.copy()
+            needed[last >> shift] = False
+            moves = last[live[last >> shift]] & index
+            found[moves - lo] = True
+            queries = np.left_shift(jj[moves], shift, dtype=dtype)
+            queries |= moves
+        while len(queries) >= FRONTIER_WIDTH:
+            queries.sort()
+            k = np.searchsorted(keys, queries)
+            # at k = 0, keys[-1] is another particle's write: a query of q
+            # below every key would need a block that writes q alone, yet it
+            # comes from hi (above every key) or from a move that reads q
+            last = keys[k - 1]
+            written = (last ^ queries) >> shift == 0  # the same particle
+            needed[queries[~written] >> shift] = True
+            last = last[written]  # ascending, so a shared write repeats in place
+            moves = last[np.r_[True, last[1:] != last[:-1]]] & index if len(last) else last
+            moves = moves[~found[moves - lo]]
+            found[moves - lo] = True
+            queries = np.left_shift(jj[moves], shift, dtype=dtype)
+            queries |= moves
+        kv, fv, nv = memoryview(keys), memoryview(found), memoryview(needed)
+        # with at least 16 moves a particle, bisect among the writes to q
+        # alone: they sit at [first[q], first[q + 1]). A 1M-move gap chases in
+        # 12, 11, 10 and 22 ms with this table at n = 100, 256, 512, 4096 and
+        # in 15, 13, 12 and 22 ms without; at n = 8192, 2 * 10**4 and 5 * 10**4
+        # building it for each block costs more (43/39, 46/31, 81/41 ms)
+        first = 16 * n <= hi - lo and np.searchsorted(
+            keys, np.arange(n + 1, dtype=dtype) << shift
+        ).tolist()
+        for query in queries.tolist():
             while True:
-                k = bisect_left(kv, q << shift | m, first[q], first[q + 1])
-                if k == first[q]:
-                    needed.add(q)  # no write to q in [lo, m)
+                q = query >> shift
+                if first:
+                    k = bisect_left(kv, query, first[q], first[q + 1])
+                    written = k > first[q]
+                else:
+                    k = bisect_left(kv, query)
+                    written = not (kv[k - 1] ^ query) >> shift  # as above at k = 0
+                if not written:
+                    nv[q] = True  # no write to q in [lo, query's step)
                     break
                 m = kv[k - 1] & index
-                if m in found:
+                if fv[m - lo]:
                     break  # joins a lineage already followed
-                found.add(m)
-                q = targets[m]
-        kept.extend(found)
+                fv[m - lo] = True
+                query = targets[m] << shift | m
+        kept.append(np.flatnonzero(found) + lo)
         live = needed
-    return np.sort(np.array(kept, dtype=np.intp))
+    return np.concatenate(kept[::-1]) if kept else np.empty(0, dtype=np.intp)
 
 
 def _gaps(frames: range, end: int):
@@ -246,11 +316,25 @@ def run(config: SimConfig) -> Trajectory:
     change no frame, so they are not applied.
 
     Each batch is cut at its stops: the frames it reaches and its end, since
-    the next batch's reads are unknown. With at least
-    ``LINEAGE_MIN_PARTICLES`` particles, a gap between stops of at least n**2
-    moves is cut down to its lineage moves (``lineage_moves``); every other
-    gap is applied whole. The frames are bit-identical either way;
+    the next batch's reads are unknown. A gap between stops is cut down to its
+    lineage moves (``lineage_moves``) if it holds at least n**2 moves and
+    n >= ``LINEAGE_MIN_PARTICLES``, or at least ``SHORT_GAP * n`` = 4n moves
+    and n >= ``SHORT_GAP_PARTICLES`` = 2**16; every other gap is applied
+    whole. The frames are bit-identical either way;
     ``Trajectory.moves_applied`` counts the moves the loop applied.
+
+    A gap of g moves keeps a share (n/g) ln(1 + g/n) of them (0.46, 0.40,
+    0.32, 0.27 at 3n, 4n, 6n, 8n), and the cut wins where skipping the rest
+    saves more than the chase costs. The full loop slows as n grows, so 4n gaps
+    win from n = 2**16 on. ``run`` per step, ns with the cut / without, on
+    gaps of c*n moves (shared 2-vCPU host, best of five; README "Notes"):
+
+        n       3n       4n       6n       8n
+        2**12   177/128  145/120  134/113  112/110
+        2**14   166/125  141/127  126/112  110/122
+        2**15   165/131  172/149  142/146  136/125
+        2**16   167/162  144/150  125/162  119/142
+        10**5   161/168  170/187  127/172  114/135
 
     This thread draws a batch's indices (``draw_moves``) and hands their
     lineage chase to the worker thread, which runs it once the previous
@@ -277,8 +361,11 @@ def run(config: SimConfig) -> Trajectory:
     times = np.array(schedule, dtype=np.int64)
     positions = np.empty((len(schedule), n))
     frame = 0  # the next frame to record
-    # gaps of at least this many moves are cut down to their lineage moves
-    shortest = n * n if n >= LINEAGE_MIN_PARTICLES else math.inf
+    shortest = math.inf  # gaps of at least this many moves are cut down
+    if n >= LINEAGE_MIN_PARTICLES:
+        shortest = n * n
+        if n >= SHORT_GAP_PARTICLES:
+            shortest = min(shortest, SHORT_GAP * n)
 
     def chase(ii, jj, gaps: list) -> dict:
         # the lineage moves of each gap (a, b), keyed by b

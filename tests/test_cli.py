@@ -510,6 +510,14 @@ def test_compare_rejects_files_that_are_not_summaries(tmp_path, capsys):
         ("l.json", [1, 2], "is not a summary"),
         ("b.json", {k: v for k, v in data.items() if k != "config"}, "carries no config block"),
         ("f.json", dict(data, config=[1]), "carries no config block"),
+        # the right keys, but values that are not numbers
+        ("mv.json", dict(data, moments=["a", *data["moments"][1:]]), "moments value"),
+        ("sm.json", dict(data, se=dict(data["se"], moments=[[1]])), "se.moments value"),
+        ("e.json", dict(data, ecf=[dict(data["ecf"][0], re="x")]), "ecf value"),
+        ("se.json", dict(data, se=dict(data["se"], ecf=["x"])), "se.ecf value"),
+        ("k.json", dict(data, ks_laplace="0.1"), "ks_laplace value"),
+        ("h.json", dict(data, histogram=dict(data["histogram"], edges=["a"])), "is not a summary"),
+        ("kv.json", dict(data, kde=dict(data["kde"], values=["x"])), "is not a summary"),
     ):
         path = tmp_path / name
         path.write_text(json.dumps(content))

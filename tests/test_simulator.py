@@ -319,13 +319,16 @@ def _replay_in_chunks(config, chunk):
     return np.asarray(times), np.asarray(frames).reshape(len(times), n)
 
 
-def _replay_case(burn_in, steps, thin, n=4, chunk=5):
+def _replay_case(burn_in, steps, thin, n=4, chunk=5, short=None):
     tail = "" if (n, chunk) == (4, 5) else f"-n{n}-chunk{chunk}"
-    return pytest.param(burn_in, steps, thin, n, chunk, id=f"{burn_in}-{steps}-{thin}{tail}")
+    tail += f"-short{short}" if short else ""
+    return pytest.param(
+        burn_in, steps, thin, n, chunk, short, id=f"{burn_in}-{steps}-{thin}{tail}"
+    )
 
 
 @pytest.mark.parametrize(
-    "burn_in, steps, thin, n, chunk",
+    "burn_in, steps, thin, n, chunk, short",
     [
         _replay_case(10, 20, 5),  # every frame falls on a chunk boundary
         _replay_case(3, 17, 4),  # frames fall inside chunks
@@ -341,11 +344,19 @@ def _replay_case(burn_in, steps, thin, n=4, chunk=5):
         _replay_case(0, 0, 1, 2, 64),  # no steps at all
         _replay_case(100, 60, 2, 3, 64),  # a long burn-in, then gaps under n**2
         _replay_case(3, 252, 4, 2, 64),  # a burn-in of n**2 - 1, then gaps of n**2
+        # gaps of at least short * n moves but under n**2, cut down by the
+        # short-gap rule, with the lineages followed in numpy steps
+        _replay_case(0, 200, 20, 8, 64, short=2),  # frames fall inside chunks
+        _replay_case(5, 300, 30, 6, 64, short=3),  # gaps under 3 n at the seams
     ],
 )
-def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin, n, chunk):
+def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin, n, chunk, short):
     monkeypatch.setattr(simulator, "CHUNK", chunk)
     monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
+    if short:
+        monkeypatch.setattr(simulator, "SHORT_GAP_PARTICLES", 2)
+        monkeypatch.setattr(simulator, "SHORT_GAP", short)
+        monkeypatch.setattr(simulator, "FRONTIER_WIDTH", 2)
     config = simulator.SimConfig(
         n_particles=n,
         offsets=offsets.gaussian(1.0),
@@ -360,6 +371,8 @@ def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin, n, chunk)
     np.testing.assert_array_equal(trajectory.positions, frames)
     assert trajectory.times.dtype == np.int64
     assert trajectory.moves_applied <= min(burn_in + steps, times[-1])
+    if short:
+        assert trajectory.moves_applied < times[-1]
     if burn_in + steps > chunk:
         # the batch size is part of the stream: one unchunked draw differs
         _, unchunked = _replay_in_chunks(config, burn_in + steps)
@@ -379,19 +392,27 @@ def _backward_scan(ii, jj, a, b, n):
     return kept[::-1]
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 17])
-def test_lineage_moves_equal_a_backward_scan(n):
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 300, 2000])
+def test_lineage_moves_equal_a_backward_scan(monkeypatch, n):
     rng = np.random.default_rng(40 + n)
     dist = offsets.gaussian(1.0)
-    for _ in range(30):
-        size = int(rng.integers(1, 400))
+    # every lineage by bisection, every one in numpy steps, and frontiers that
+    # start wide and end narrow
+    widths = (10**9, 1, max(2, n // 3))
+    for _ in range(30 if n < 64 else 4):
+        # gaps up to about 16 n at the larger n, where the numpy step runs
+        size = int(rng.integers(1, 400 if n < 64 else 16 * n + 2))
         ii, jj, dd = _draw(rng, n, dist, size)
         a, b = sorted(rng.integers(0, size + 1, 2).tolist())
         expected = _backward_scan(ii.tolist(), jj.tolist(), a, b, n)
         for block in (1, 7, 1 << 16):
-            kept = simulator.lineage_moves(ii, jj, a, b, n, block)
-            # equality, not a superset: every skipped write is really unread
-            assert kept.tolist() == expected
+            if block == 1 and b - a > 4000:
+                continue  # a block per move: slow, and covered at the shorter gaps
+            for width in widths:
+                monkeypatch.setattr(simulator, "FRONTIER_WIDTH", width)
+                kept = simulator.lineage_moves(ii, jj, a, b, n, block)
+                # equality, not a superset: every skipped write is really unread
+                assert kept.tolist() == expected, f"block {block}, width {width}"
         # the kept moves alone carry the state at a to the state at b
         start = rng.standard_normal(n).tolist()
         full, part = list(start), list(start)
@@ -428,6 +449,13 @@ def test_lineage_moves_equal_a_backward_scan(n):
             "gaussian", 100, 1_300_000, 20_000, 250_001, "iid_gaussian",
             "433d4c334be6b1236f0c33f3d643e83cccada59eced8f9f21d0f2d91409aa006",
         ),
+        # n = 2**16: gaps of 10.7 n and 5.3 n before the seam and 5.4 n after
+        # it, far under n**2, so they are cut down only by the short-gap rule;
+        # pinned from a run that applied every move
+        (
+            "uniform", 65_536, 1_400_002, 0, 700_001, "iid_uniform",
+            "455c34e58faeefe130d5b562473ed084a4c69a9f3ec2f50b283b8faee3071801",
+        ),
     ],
 )
 def test_run_trajectory_digest(kind, n, steps, burn_in, thin, init, digest):
@@ -446,6 +474,9 @@ def test_run_trajectory_digest(kind, n, steps, burn_in, thin, init, digest):
     h = hashlib.sha256(trajectory.positions.tobytes())
     h.update(trajectory.times.tobytes())
     assert h.hexdigest() == digest
+    if n >= simulator.LINEAGE_MIN_PARTICLES:
+        # these runs' gaps are all long enough to be cut down
+        assert trajectory.moves_applied < burn_in + steps
 
 
 def _traced_peak(config):
