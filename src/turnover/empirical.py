@@ -4,10 +4,17 @@ Every entry of every recorded frame counts as one sample (time and particle
 averaging). Raw moments are plain means of the sample powers (numpy's
 pairwise sums); standard errors of time averages are estimated by batch means
 over frames, which absorbs the autocorrelation of the chain.
+
+``summarize`` runs on two threads. One executor thread forms the sample
+powers and the sines and cosines of the ECF and returns their sums and
+per-frame series, while the calling thread builds the histogram, the KDE and
+the KS statistic. numpy releases the GIL inside its loops, so the two halves
+overlap on two cores; every value is the one a single thread computes.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass, field
 
@@ -67,8 +74,12 @@ def kde(samples: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.ndarray:
     stops = np.searchsorted(x, grid + reach, side="right")
     out = np.empty_like(grid)
     for k, (y, a, b) in enumerate(zip(grid, starts, stops)):
-        z = (y - x[a:b]) / bandwidth
-        out[k] = np.exp(-0.5 * z * z).sum()
+        # exp(-0.5 * z * z), z = (y - x) / h, in two window buffers
+        z = np.subtract(y, x[a:b])
+        z /= bandwidth
+        w = np.multiply(-0.5, z)
+        w *= z
+        out[k] = np.exp(w, out=w).sum()
     return out / (x.size * bandwidth * _SQRT2PI)
 
 
@@ -105,9 +116,17 @@ def ks_laplace(samples: np.ndarray, sigma: float) -> float:
         raise ValueError("ks_laplace needs at least one sample")
     n = x.size
     cdf = laplace_cdf(x, sigma)
-    i = np.arange(1, n + 1)
-    d_plus = (i / n - cdf).max()
-    d_minus = (cdf - (i - 1) / n).max()
+    del x
+    # the empirical CDF's steps i/n and (i - 1)/n, i = 1..n, each built in one
+    # float buffer that then takes its gap to the Laplace CDF
+    gap = np.arange(1, n + 1, dtype=float)
+    gap /= n
+    gap -= cdf
+    d_plus = gap.max()
+    del gap
+    gap = np.arange(0, n, dtype=float)
+    gap /= n
+    d_minus = np.subtract(cdf, gap, out=gap).max()
     return float(max(d_plus, d_minus))
 
 
@@ -184,6 +203,33 @@ class EmpiricalSummary:
         )
 
 
+def _frame_sums(frames: np.ndarray, max_order: int, ecf_points) -> tuple[list, list]:
+    """The moment and ECF halves of ``summarize``, with their per-frame series.
+
+    Returns ``(moments, cosines)``: one (moment, per-frame mean) pair for each
+    order 1..max_order, and one ((s, re, im), per-frame mean of cos(s x))
+    pair for each s. It runs on summarize's worker thread, so it calls nothing
+    that the benchmark's tracer wraps: the tracer keeps one span stack for the
+    process, and a traced call from here would nest in whatever span the
+    calling thread has open.
+    """
+    # each power serves its moment (as accumulate_moments) and its SE series
+    moments = [
+        (float(p.sum()) / frames.size, p.mean(axis=1)) for p in _powers(frames, max_order)
+    ]
+    sx = np.empty_like(frames)
+    sines = np.empty_like(frames)
+    cosines = []
+    for s in ecf_points:
+        # s*x serves the sine, then holds the cosines for the ECF (as
+        # empirical_cf) and its SE series
+        np.multiply(s, frames, out=sx)
+        sin_mean = float(np.sin(sx, out=sines).ravel().mean())
+        np.cos(sx, out=sx)
+        cosines.append(((float(s), float(sx.mean()), sin_mean), sx.mean(axis=1)))
+    return moments, cosines
+
+
 def summarize(
     frames: np.ndarray,
     sigma: float,
@@ -198,60 +244,71 @@ def summarize(
 ) -> EmpiricalSummary:
     """Summarise a (n_frames, width) array of recorded observable frames.
 
-    The histogram spans +-6 sigma by default; samples outside are clipped
-    into the boundary bins so the counts always total the sample count. The
-    KDE grid is widened to cover all samples plus 8 bandwidths, so the
-    estimated density carries all its mass inside the grid span (the same
-    8-bandwidth reach at which kde truncates its kernel).
+    The histogram spans +-6 sigma by default; samples outside count in the
+    boundary bins, as if clipped to the range, so the counts always total the
+    sample count. The KDE grid is widened to cover all samples plus 8
+    bandwidths, so the estimated density carries all its mass inside the grid
+    span (the same 8-bandwidth reach at which kde truncates its kernel).
+
+    The arguments are checked first. Then one executor thread computes the
+    sample powers and the ECF's sines and cosines (``_frame_sums``) while
+    this thread builds the histogram, the KDE and the KS statistic; after the
+    join, this thread takes the batch-means SEs of the worker's series. kde,
+    ks_laplace and batch_means_se are called only from this thread, where the
+    benchmark's tracer nests their spans in summarize's. The worker runs in a
+    copy of this thread's context, so a ``np.errstate`` around the call holds
+    there too. A failure on the worker is re-raised here through its future,
+    and the worker is joined on every exit path.
     """
+    # imported here, not at the top: it pulls in logging, which no other
+    # command needs at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     frames = np.atleast_2d(np.asarray(frames, dtype=float))
     if frames.size == 0:
         raise ValueError("summarize needs at least one frame")
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
     if bins < 1 or kde_points < 1:
         raise ValueError(f"bins and kde_points must be >= 1, got {bins} and {kde_points}")
     flat = frames.ravel()
 
-    # each power serves its moment (as accumulate_moments) and its SE series
-    moments = []
-    moment_ses = []
-    for p in _powers(frames, max_order):
-        moments.append(float(p.sum()) / frames.size)
-        moment_ses.append(batch_means_se(p.mean(axis=1)))
+    with ThreadPoolExecutor(1) as worker:
+        sums = worker.submit(
+            contextvars.copy_context().run, _frame_sums, frames, max_order, ecf_points
+        )
 
-    if hist_range is None:
-        lim = 6.0 * sigma
-        hist_range = (-lim, lim)
-    edges = np.linspace(hist_range[0], hist_range[1], bins + 1)
-    clipped = np.clip(flat, hist_range[0], hist_range[1])
-    counts, _ = np.histogram(clipped, bins=edges)
+        if hist_range is None:
+            lim = 6.0 * sigma
+            hist_range = (-lim, lim)
+        lo, hi = hist_range
+        edges = np.linspace(lo, hi, bins + 1)
+        counts, _ = np.histogram(flat, bins=edges)
+        # a sample outside the range counts where the range end it is
+        # clipped to counts: the first or the last bin
+        counts += np.count_nonzero(flat < lo) * np.histogram(lo, bins=edges)[0]
+        counts += np.count_nonzero(flat > hi) * np.histogram(hi, bins=edges)[0]
 
-    h = 0.1 * sigma if bandwidth is None else bandwidth
-    lo = min(hist_range[0], float(flat.min()) - _KDE_REACH * h)
-    hi = max(hist_range[1], float(flat.max()) + _KDE_REACH * h)
-    grid = np.linspace(lo, hi, kde_points)
-    values = kde(flat, h, grid)
-
-    ecf = []
-    ecf_ses = []
-    for s in ecf_points:
-        # one s*x buffer serves the sine, then holds the cosines for the ECF
-        # (as empirical_cf) and its SE series
-        cos_sx = s * frames
-        sin_mean = float(np.sin(cos_sx.ravel()).mean())
-        np.cos(cos_sx, out=cos_sx)
-        ecf.append((float(s), float(cos_sx.mean()), sin_mean))
-        ecf_ses.append(batch_means_se(cos_sx.mean(axis=1)))
+        h = 0.1 * sigma if bandwidth is None else bandwidth
+        grid = np.linspace(
+            min(lo, float(flat.min()) - _KDE_REACH * h),
+            max(hi, float(flat.max()) + _KDE_REACH * h),
+            kde_points,
+        )
+        values = kde(flat, h, grid)
+        ks = ks_laplace(flat, sigma)
+        moments, cosines = sums.result()
 
     return EmpiricalSummary(
         sample_count=int(flat.size),
-        raw_moments=moments,
-        moment_ses=moment_ses,
+        raw_moments=[m for m, _ in moments],
+        moment_ses=[batch_means_se(series) for _, series in moments],
         histogram_edges=edges,
         histogram_counts=counts.astype(np.int64),
         kde_grid=grid,
         kde_values=values,
-        ecf=ecf,
-        ecf_ses=ecf_ses,
-        ks_laplace=ks_laplace(flat, sigma),
+        ecf=[point for point, _ in cosines],
+        ecf_ses=[batch_means_se(series) for _, series in cosines],
+        ks_laplace=ks,
         config=dict(config or {}),
     )

@@ -1,5 +1,9 @@
+import hashlib
 import json
 import math
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,3 +268,119 @@ def test_summary_rejects_empty():
     for kw in ({"bins": 0}, {"kde_points": 0}, {"bins": -1}):
         with pytest.raises(ValueError, match="bins and kde_points"):
             empirical.summarize(frames, 1.0, **kw)
+
+
+def test_summary_histogram_counts_outside_samples_as_clipped():
+    rng = np.random.default_rng(14)
+    frames = rng.laplace(0.0, 1.0, (40, 25))
+    # a one-point range puts every clipped sample in the last bin
+    for lo, hi, bins in ((-0.5, 0.8, 9), (-0.5, 0.8, 1), (0.25, 0.25, 4)):
+        summary = empirical.summarize(frames, 1.0, hist_range=(lo, hi), bins=bins)
+        expected, _ = np.histogram(np.clip(frames, lo, hi), bins=summary.histogram_edges)
+        np.testing.assert_array_equal(summary.histogram_counts, expected)
+
+
+def _pinned_frames():
+    return np.random.default_rng(13).laplace(0.0, 0.1 / math.sqrt(2), (10001, 99))
+
+
+@pytest.mark.parametrize(
+    "kw, digest",
+    [
+        ({}, "7a1e23943a565d16ce86f2b0c313c67d43e9a4eecbf48dc72aee596be976ab32"),
+        ({"hist_range": (-0.05, 0.05), "bins": 41},
+         "a12d3e5f0bc7da7a073d90f6aaf4ab5e71821c431970a35fdd2d483d0ac5e74a"),
+    ],
+    ids=["default", "clipped-histogram"],
+)
+def test_summary_json_matches_pinned_digest(kw, digest):
+    # taken from summarize when it ran on one thread: splitting it across two
+    # changes no bit of the payload
+    summary = empirical.summarize(_pinned_frames(), 0.1, **kw)
+    text = json.dumps(summary.to_json_dict(), sort_keys=True, allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_summary_peak_memory_is_bounded_by_frame_multiples():
+    frames = _pinned_frames()
+    tracemalloc.start()
+    try:
+        empirical.summarize(frames, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # both threads' buffers at once: the KS sort and its CDF and step buffers
+    # beside the ECF's two s*x buffers, about 4.2 frames; a clipped copy for
+    # the histogram and fresh ECF and KS temporaries would take it past 7
+    assert peak < 6.5 * frames.nbytes
+
+
+def _record_threads(monkeypatch, names):
+    """Wrap the named empirical functions to log (name, thread id) per call."""
+    calls = []
+    for name in names:
+        fn = getattr(empirical, name)
+
+        def logged(*args, _fn=fn, _name=name, **kwargs):
+            calls.append((_name, threading.get_ident()))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(empirical, name, logged)
+    return calls
+
+
+def test_summary_calls_traced_functions_on_the_calling_thread(monkeypatch):
+    calls = _record_threads(monkeypatch, ["kde", "ks_laplace", "batch_means_se"])
+    _toy_summary(ecf_points=(1.0, 2.0), max_order=3)
+    assert sorted({name for name, _ in calls}) == ["batch_means_se", "kde", "ks_laplace"]
+    assert len(calls) == 1 + 1 + 3 + 2
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+def test_summary_checks_max_order_before_starting_the_worker(monkeypatch):
+    calls = _record_threads(monkeypatch, ["kde"])
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="max_order"):
+        empirical.summarize(np.ones((3, 2)), 1.0, max_order=0)
+    assert calls == []
+    assert threading.active_count() == threads
+
+
+def test_summary_reraises_a_worker_failure_and_joins_it(monkeypatch):
+    def failing(samples, max_order):
+        raise RuntimeError("worker failed")
+        yield  # a generator, as _powers is
+
+    monkeypatch.setattr(empirical, "_powers", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        _toy_summary()
+    assert threading.active_count() == threads
+
+
+def test_summary_kde_failure_still_joins_the_worker(monkeypatch):
+    finished = []
+    frame_sums = empirical._frame_sums
+
+    def slow(*args):
+        # still running when kde raises on the calling thread
+        time.sleep(0.2)
+        result = frame_sums(*args)
+        finished.append(threading.get_ident())
+        return result
+
+    monkeypatch.setattr(empirical, "_frame_sums", slow)
+    frames = np.zeros((8, 5))
+    frames[3, 2] = np.nan
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="NaN"):
+        empirical.summarize(frames, 1.0)
+    assert len(finished) == 1 and finished[0] != threading.get_ident()
+    assert threading.active_count() == threads
+
+
+def test_summary_worker_keeps_the_callers_errstate():
+    # only the sample powers overflow, and they are formed on the worker
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            empirical.summarize(np.full((4, 3), 1e200), 0.1)

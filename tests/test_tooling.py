@@ -52,8 +52,12 @@ def test_method_targets_resolve(target):
              "--seed", "1", "--out", "d.json"],
             {"simulator.run", "simulator.draw_moves", "offsets.sample",
              "empirical.summarize", "empirical.kde"},
-            # the draws run on the calling thread, directly in the run's span
-            {"simulator.draw_moves": "simulator.run", "offsets.sample": "simulator.run"},
+            # the draws run on the calling thread, directly in the run's span;
+            # the KDE and KS run there too, in the summary's span, while its
+            # worker forms the moment and ECF sums
+            {"simulator.draw_moves": "simulator.run", "offsets.sample": "simulator.run",
+             "empirical.kde": "empirical.summarize",
+             "empirical.ks_laplace": "empirical.summarize"},
         ),
         (
             # thin = n**2: the gaps are cut down to their lineage moves on the
