@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .offsets import OffsetDistribution
+from .offsets import OffsetDistribution, check_count, check_scale
 
 # Exact diagonal evaluation is exponential-ish in the recursion depth; this
 # caps n for diagonal modes and k for general joint arguments. Overridable
@@ -51,23 +51,19 @@ def _check_cf(value):
 
 def distance_cf(s, n_particles: int, offsets: OffsetDistribution):
     """CF of one inter-particle distance for an ensemble of n particles."""
-    if n_particles < 2:
-        raise ValueError(f"n_particles must be >= 2, got {n_particles}")
     x = offsets.cf_scaled(s, n_particles)
     return x / (n_particles - 1 - (n_particles - 2) * x)
 
 
 def distance_cf_limit(s, sigma: float):
     """Large-population limit of the one-distance CF: 2 / (2 + s^2 sigma^2)."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    check_scale(sigma, "sigma")
     return 2.0 / (2.0 + np.square(np.asarray(s, dtype=float) * sigma))
 
 
 def laplace_pdf(y, sigma: float):
     """Density of the centred Laplace law with variance sigma^2."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    check_scale(sigma, "sigma")
     c = math.sqrt(2.0) / sigma
     return 0.5 * c * np.exp(-c * np.abs(np.asarray(y, dtype=float)))
 
@@ -77,8 +73,7 @@ def series_truncation(n_particles: int, eps: float) -> int:
 
     Solves r^K / (n-2) <= eps * (1 - r) with r = (n-2)/(n-1) in closed form.
     """
-    if n_particles <= 2:
-        raise ValueError("series form needs n_particles > 2")
+    check_count(n_particles, 3, "n_particles")
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
     r = (n_particles - 2) / (n_particles - 1)
@@ -92,10 +87,7 @@ def distance_pdf(y, n_particles: int, sigma: float, eps: float = 1e-10):
     Geometric mixture of centred normals with variances k*sigma^2/n,
     truncated so the discarded mass is below eps.
     """
-    if n_particles <= 2:
-        raise ValueError("the mixture form needs n_particles > 2")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    check_scale(sigma, "sigma")
     kmax = series_truncation(n_particles, eps)
     r = (n_particles - 2) / (n_particles - 1)
     y = np.asarray(y, dtype=float)
@@ -302,8 +294,7 @@ def distances_joint_cf(
     """
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
     k = len(coords)
-    if n_particles < 2:
-        raise ValueError(f"n_particles must be >= 2, got {n_particles}")
+    check_count(n_particles, 2, "n_particles")
     if k >= n_particles:
         raise ValueError(
             f"joint CF of k={k} distances needs n_particles > k, got {n_particles}"
@@ -339,8 +330,7 @@ def distances_joint_cf_limit(
 ) -> float | np.ndarray:
     """Large-population limit of the joint CF of k inter-particle distances;
     ``coords`` as in ``distances_joint_cf``."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    check_scale(sigma, "sigma")
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
     k = len(coords)
     _require_cap(k, cap, "k")
@@ -393,8 +383,7 @@ def particle_cf(
 
     A point s gives a float, a 1-D grid of s an array.
     """
-    if n_particles < 2:
-        raise ValueError(f"n_particles must be >= 2, got {n_particles}")
+    check_count(n_particles, 2, "n_particles")
     _require_cap(n_particles, cap, "n")
     coords = _diagonal(s, n_particles)
     # the module-global name, so a rebinding (as a tracer does) sees this call
@@ -408,8 +397,7 @@ def particle_cf_limit(
     family converges pointwise to the CF of the limiting single-particle law.
     A point s gives a float, a 1-D grid of s an array.
     """
-    if n_particles < 2:
-        raise ValueError(f"n_particles must be >= 2, got {n_particles}")
+    check_count(n_particles, 2, "n_particles")
     _require_cap(n_particles, cap, "n")
     coords = _diagonal(s, n_particles)
     return distances_joint_cf_limit(coords, sigma, cap=n_particles)

@@ -42,7 +42,7 @@ from .charfn import (
 )
 from .empirical import EmpiricalSummary, summarize
 from .moments import build_phi_table, phi_base
-from .offsets import OffsetDistribution, from_name
+from .offsets import OffsetDistribution, check_count, check_scale, from_name
 from .simulator import SimConfig, run
 
 OUT_DIR_ENV = "TURNOVER_OUT_DIR"
@@ -61,10 +61,6 @@ CF_MODES = {
 
 DEFAULT_MOMENT_TOL = {2: 0.05, 4: 0.10, 6: 0.25, 8: 0.60}
 ORDER_LIMIT = 60
-
-
-class CliError(Exception):
-    """Validation failure that should exit with status 2."""
 
 
 # What a command hands back to ``main``, which writes the manifest and prints
@@ -138,15 +134,14 @@ def _peak_rss_mb() -> float:
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise CliError(f"grid must be 'start:stop:count', got {text!r}")
+        raise ValueError(f"grid must be 'start:stop:count', got {text!r}")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise CliError(f"bad grid {text!r}: {exc}") from None
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise CliError(f"bad grid {text!r}: start and stop must be finite")
-    if count < 1 or stop < start:
-        raise CliError(f"bad grid {text!r}: need stop >= start and count >= 1")
+        raise ValueError(f"bad grid {text!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop) and start <= stop):
+        raise ValueError(f"bad grid {text!r}: need finite start <= stop")
+    check_count(count, 1, f"the count of grid {text!r}")
     return np.linspace(start, stop, count)
 
 
@@ -154,9 +149,9 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise CliError(f"bad float list {text!r}: {exc}") from None
+        raise ValueError(f"bad float list {text!r}: {exc}") from None
     if not all(math.isfinite(v) for v in values):
-        raise CliError(f"bad float list {text!r}: values must be finite")
+        raise ValueError(f"bad float list {text!r}: values must be finite")
     return values
 
 
@@ -171,9 +166,9 @@ def _parse_tols(text: str) -> dict[int, float]:
             order, tol = item.split(":")
             order, tol = int(order), float(tol)
         except ValueError as exc:
-            raise CliError(f"bad tolerance item {item!r}: {exc}") from None
+            raise ValueError(f"bad tolerance item {item!r}: {exc}") from None
         if not (math.isfinite(tol) and tol >= 0):
-            raise CliError(f"bad tolerance item {item!r}: tolerances must be finite and >= 0")
+            raise ValueError(f"bad tolerance item {item!r}: tolerances must be finite and >= 0")
         tols[order] = tol
     return tols
 
@@ -181,7 +176,7 @@ def _parse_tols(text: str) -> dict[int, float]:
 def _check_eps(eps: float) -> None:
     # the mixture's discarded mass, checked whether or not the mode draws one
     if not 0 < eps < 1:
-        raise CliError(f"--eps must be in (0, 1), got {eps!r}")
+        raise ValueError(f"--eps must be in (0, 1), got {eps!r}")
 
 
 # ---------------------------------------------------------------------- simulate
@@ -191,15 +186,12 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
     offsets = from_name(args.offset, args.sigma)
     ecf_points = _parse_floats(args.ecf_s)
     # the summary's flags are checked here, so a bad one fails before the run
-    if args.max_order < 1:
-        raise CliError(f"--max-order must be >= 1, got {args.max_order}")
-    if args.bins < 1:
-        raise CliError(f"--bins must be >= 1, got {args.bins}")
-    if args.kde_points < 1:
-        raise CliError(f"--kde-points must be >= 1, got {args.kde_points}")
+    check_count(args.max_order, 1, "--max-order")
+    check_count(args.bins, 1, "--bins")
+    check_count(args.kde_points, 1, "--kde-points")
     bandwidth = args.kde_bandwidth
-    if bandwidth is not None and not (bandwidth > 0 and math.isfinite(bandwidth)):
-        raise CliError(f"--kde-bandwidth must be a positive finite real, got {bandwidth!r}")
+    if bandwidth is not None:
+        check_scale(bandwidth, "--kde-bandwidth")
     thin = args.thin if args.thin is not None else args.particles
     config = SimConfig(
         n_particles=args.particles,
@@ -291,10 +283,8 @@ def _phi_table(max_order: int):
 
 
 def cmd_moments(args: argparse.Namespace) -> CommandResult:
-    if args.max_order < 2:
-        raise CliError("--max-order must be >= 2")
-    if not (args.sigma > 0 and math.isfinite(args.sigma)):
-        raise CliError(f"--sigma must be a positive finite real, got {args.sigma!r}")
+    check_count(args.max_order, 2, "--max-order")
+    check_scale(args.sigma, "--sigma")
     clock = time.perf_counter()
     table = _phi_table(args.max_order)
     phases = {"build_s": time.perf_counter() - clock, "table_entries": table.stored}
@@ -364,11 +354,11 @@ def cmd_cf(args: argparse.Namespace) -> CommandResult:
     sigma = args.sigma
     needs_n, needs_k = CF_MODES[mode]
     if needs_n and args.n is None:
-        raise CliError(f"--n is required for mode {mode}")
+        raise ValueError(f"--n is required for mode {mode}")
     if needs_k and args.k is None:
-        raise CliError(f"--k is required for mode {mode}")
-    if needs_k and args.k < 1:
-        raise CliError(f"--k must be >= 1, got {args.k}")
+        raise ValueError(f"--k is required for mode {mode}")
+    if needs_k:
+        check_count(args.k, 1, "--k")
     _check_eps(args.eps)
     offsets = from_name(args.offset, sigma)
     values = _cf_values(mode, args.n, args.k, offsets, args.cap, args.eps, points)
@@ -406,15 +396,15 @@ def cmd_cf(args: argparse.Namespace) -> CommandResult:
 
 
 def _read_summary(path: str) -> EmpiricalSummary:
-    """The summary in ``path``; a file that is not one raises ``CliError``."""
+    """The summary in ``path``; a file that is not one raises ``ValueError``."""
     with open(_resolve(path), "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         summary = EmpiricalSummary.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path!r} is not a summary ({type(exc).__name__}: {exc})") from None
+        raise ValueError(f"{path!r} is not a summary ({type(exc).__name__}: {exc})") from None
     if not isinstance(summary.config, dict) or not summary.config:
-        raise CliError(f"summary {path!r} carries no config block")
+        raise ValueError(f"summary {path!r} carries no config block")
     for key, values in (
         ("moments", summary.raw_moments),
         ("se.moments", summary.moment_ses),
@@ -424,28 +414,27 @@ def _read_summary(path: str) -> EmpiricalSummary:
     ):
         for value in values:
             if not isinstance(value, (int, float)):
-                raise CliError(
+                raise ValueError(
                     f"summary {path!r} has a {key} value that is not a number: {value!r}"
                 )
     return summary
 
 
 def _check_config(name: str, config: dict, expected: dict, source: str) -> None:
-    """Raise ``CliError`` at the first key of ``expected`` whose value in the
+    """Raise ``ValueError`` at the first key of ``expected`` whose value in the
     ``name`` summary's config differs from the one ``source`` gives."""
     for key, value in expected.items():
         if config.get(key) != value:
-            raise CliError(
+            raise ValueError(
                 f"{name} {key} mismatch: {name} has {config.get(key)!r}, "
                 f"{source} has {value!r}"
             )
 
 
 def cmd_compare(args: argparse.Namespace) -> CommandResult:
-    if args.max_order < 1:
-        raise CliError(f"--max-order must be >= 1, got {args.max_order}")
+    check_count(args.max_order, 1, "--max-order")
     if not (math.isfinite(args.ks_threshold) and args.ks_threshold >= 0):
-        raise CliError(
+        raise ValueError(
             f"--ks-threshold must be finite and >= 0, got {args.ks_threshold!r}"
         )
     _check_eps(args.eps)
@@ -457,7 +446,7 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
     _check_config("summary", cfg, expected, "the command line")
     observable = cfg.get("observable")
     if observable not in ("distances", "positions"):
-        raise CliError(
+        raise ValueError(
             f"compare needs a distances or positions summary, got {observable!r}"
         )
     distances = observable == "distances"
@@ -476,11 +465,11 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
     if args.baseline:
         baseline = _read_summary(args.baseline)
         if baseline.config.get("observable") != observable:
-            raise CliError(f"baseline is not a {observable} summary")
+            raise ValueError(f"baseline is not a {observable} summary")
         law = {key: cfg.get(key) for key in ("sigma", "n_particles", "offset")}
         _check_config("baseline", baseline.config, law, "the summary")
         if len(baseline.raw_moments) < max_order:
-            raise CliError(f"baseline has {len(baseline.raw_moments)} moments, need {max_order}")
+            raise ValueError(f"baseline has {len(baseline.raw_moments)} moments, need {max_order}")
         exact_moments = baseline.raw_moments
         if distances:
             # the first baseline ECF row at each s wins
@@ -723,7 +712,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(outputs[0])

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .offsets import check_count, check_scale
+
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # kernel reach in bandwidths, both for the KDE window and for the grid margin
 _KDE_REACH = 8.0
@@ -31,8 +33,7 @@ def _powers(samples: np.ndarray, max_order: int):
     Each yielded array is overwritten by the next order, so use it before
     asking for the next.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    check_count(max_order, 1, "max_order")
     if samples.size == 0:
         raise ValueError("moments need at least one sample")
     power = samples.copy()
@@ -56,18 +57,19 @@ def kde(samples: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.ndarray:
     The kernel is truncated at +-8h: the samples are sorted once (O(n log n))
     and each grid point sums only the slice of samples in [y - 8h, y + 8h],
     found by binary search. Every dropped term is below e^{-32} of the kernel
-    peak, so at each grid point |error| <= e^{-32} / (h sqrt(2 pi)). NaN
-    samples and NaN grid points are rejected.
+    peak, so at each grid point |error| <= e^{-32} / (h sqrt(2 pi)). An
+    empty sample, NaN samples and NaN grid points are rejected.
     """
-    if not bandwidth > 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
+    check_scale(bandwidth, "bandwidth")
     grid = np.asarray(grid, dtype=float)
     # a NaN grid point would find an empty window and read 0
     if grid.ndim != 1 or np.isnan(grid).any() or not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be a strictly increasing 1-d array")
     x = np.sort(np.asarray(samples, dtype=float).ravel())
+    if x.size == 0:
+        raise ValueError("kde needs at least one sample")
     # np.sort puts NaN last, outside every window
-    if np.isnan(x[-1:]).any():
+    if np.isnan(x[-1]):
         raise ValueError("samples must not contain NaN")
     reach = _KDE_REACH * bandwidth
     starts = np.searchsorted(x, grid - reach, side="left")
@@ -94,6 +96,7 @@ def empirical_cf(samples: np.ndarray, s: float) -> tuple[float, float]:
 
 def laplace_cdf(x, sigma: float):
     """CDF of the centred Laplace law with variance sigma^2 (scale sigma/sqrt(2))."""
+    check_scale(sigma, "sigma")
     b = sigma / math.sqrt(2.0)
     x = np.asarray(x, dtype=float)
     # 0.5 * exp(-|x|/b) in one buffer: it is the lower tail, 0.5 * exp(x/b),
@@ -109,8 +112,7 @@ def laplace_cdf(x, sigma: float):
 
 def ks_laplace(samples: np.ndarray, sigma: float) -> float:
     """Kolmogorov-Smirnov statistic against the Laplace law with variance sigma^2."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    check_scale(sigma, "sigma")
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     if x.size == 0:
         raise ValueError("ks_laplace needs at least one sample")
@@ -267,10 +269,12 @@ def summarize(
     frames = np.atleast_2d(np.asarray(frames, dtype=float))
     if frames.size == 0:
         raise ValueError("summarize needs at least one frame")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    if bins < 1 or kde_points < 1:
-        raise ValueError(f"bins and kde_points must be >= 1, got {bins} and {kde_points}")
+    check_scale(sigma, "sigma")
+    check_count(max_order, 1, "max_order")
+    for count in (bins, kde_points):
+        check_count(count, 1, "bins and kde_points")
+    h = 0.1 * sigma if bandwidth is None else bandwidth
+    check_scale(h, "bandwidth")
     flat = frames.ravel()
 
     with ThreadPoolExecutor(1) as worker:
@@ -285,11 +289,11 @@ def summarize(
         edges = np.linspace(lo, hi, bins + 1)
         counts, _ = np.histogram(flat, bins=edges)
         # a sample outside the range counts where the range end it is
-        # clipped to counts: the first or the last bin
-        counts += np.count_nonzero(flat < lo) * np.histogram(lo, bins=edges)[0]
-        counts += np.count_nonzero(flat > hi) * np.histogram(hi, bins=edges)[0]
+        # clipped to counts: the first or the last bin. Every edge of a
+        # one-point range is lo, which np.histogram counts in the last bin
+        counts[0 if lo < hi else -1] += np.count_nonzero(flat < lo)
+        counts[-1] += np.count_nonzero(flat > hi)
 
-        h = 0.1 * sigma if bandwidth is None else bandwidth
         grid = np.linspace(
             min(lo, float(flat.min()) - _KDE_REACH * h),
             max(hi, float(flat.max()) + _KDE_REACH * h),

@@ -41,6 +41,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+from .offsets import check_count
+
 Partition = tuple[int, ...]
 
 
@@ -50,8 +52,7 @@ def partitions(n: int) -> Iterator[Partition]:
     Iterative, by algorithm ZS1 (Zoghbi & Stojmenovic 1998): ``x`` holds the
     current partition's ``m`` parts padded with ones, and ``h`` indexes its
     last part above 1, which each step lowers."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_count(n, 0, "n")
     if n == 0:
         yield ()
         return
@@ -88,8 +89,7 @@ def prune(multi_index: Iterable[int]) -> Partition:
 def phi_base(order: int) -> Fraction:
     """Order-n derivative of the one-distance limit CF at 0, as the rational
     coefficient of sigma^n: 0 for odd n, (-1)^(n/2) n! / 2^(n/2) for even n."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_count(order, 0, "order")
     if order % 2:
         return Fraction(0)
     half = order // 2
@@ -172,8 +172,7 @@ class PhiTable:
     def moment(self, k: int) -> Fraction:
         """Exact k-th moment of the limiting single-particle law, as the
         rational coefficient of sigma^k (zero for odd k)."""
-        if k < 1:
-            raise ValueError("moment order must be >= 1")
+        check_count(k, 1, "moment order")
         if k > self.max_order:
             raise ValueError(f"order {k} exceeds table max_order {self.max_order}")
         return (-1) ** (k // 2) * self._read((1,) * k)
@@ -188,8 +187,7 @@ class PhiTable:
 def build_phi_table(max_order: int) -> PhiTable:
     """Build the derivative table for all partitions of order <= max_order,
     one level (even order n, part count k) at a time."""
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    check_count(max_order, 0, "max_order")
     base = max_order + 1
     levels = {(0, 0): (1, {0: 1})}
     for n in range(2, max_order + 1, 2):

@@ -14,6 +14,7 @@ real-valued everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,18 +25,35 @@ TWO_POINT = "two_point"
 KINDS = (GAUSSIAN, UNIFORM, TWO_POINT)
 
 _SQRT3 = math.sqrt(3.0)
-# below this |arg| sin(u)/u is evaluated by a 4-term Taylor expansion to
-# avoid cancellation
-_SINC_CUTOFF = 1e-4
+
+
+def check_scale(value, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a positive finite real.
+
+    The rule for every scale the package takes: the offset sigma, the KDE
+    bandwidth and the initial spread. It raises, not asserts, so it also holds
+    under ``python -O``.
+    """
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+
+
+def check_count(value, least: int, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least ``least``.
+
+    The rule for every count the package takes: particles, steps, orders,
+    bins and grid points.
+    """
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be >= {least} and integral, got {value!r}")
 
 
 def _sinc(u):
+    """sin(u)/u, 1 at u = 0."""
     u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _SINC_CUTOFF
-    safe = np.where(small, 1.0, u)
-    u2 = u * u
-    taylor = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
-    return np.where(small, taylor, np.sin(safe) / safe)[()]
+    zero = u == 0
+    safe = np.where(zero, 1.0, u)
+    return np.where(zero, 1.0, np.sin(safe) / safe)[()]
 
 
 @dataclass(frozen=True)
@@ -48,8 +66,7 @@ class OffsetDistribution:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown offset kind {self.kind!r}; expected one of {KINDS}")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be a positive finite real, got {self.sigma!r}")
+        check_scale(self.sigma, "sigma")
 
     @property
     def half_width(self) -> float:
@@ -82,8 +99,7 @@ class OffsetDistribution:
 
     def cf_scaled(self, s, n_particles: int):
         """Characteristic function of the offset divided by sqrt(n_particles)."""
-        if n_particles < 2:
-            raise ValueError(f"n_particles must be >= 2, got {n_particles}")
+        check_count(n_particles, 2, "n_particles")
         return self.cf(s / math.sqrt(n_particles))
 
     def pdf(self, x):

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .offsets import OffsetDistribution
+from .offsets import OffsetDistribution, check_count, check_scale
 
 # Draw-batch size. Randomness is consumed in per-variable batches:
 # for each batch of b steps the stream yields b jumper indices, then b
@@ -73,6 +73,10 @@ SHORT_GAP = 4
 # 64 to 256 chased as fast at n = 10**3 to 10**5. At 128 a run at n = 100
 # never takes the numpy step, so its chase is the walk it always was.
 FRONTIER_WIDTH = 128
+
+# Moves per block in which ``lineage_moves`` walks a gap back, so its lookup
+# arrays stay small.
+LINEAGE_BLOCK = 1 << 16
 
 INIT_KINDS = ("all_zero", "iid_gaussian", "iid_uniform")
 
@@ -101,20 +105,14 @@ class SimConfig:
     init_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_particles < 2:
-            raise ValueError(f"n_particles must be >= 2, got {self.n_particles}")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
+        check_count(self.n_particles, 2, "n_particles")
+        check_count(self.steps, 0, "steps")
+        if self.burn_in is not None:
+            check_count(self.burn_in, 0, "burn_in")
+        check_count(self.thin, 1, "thin")
         if self.init not in INIT_KINDS:
             raise ValueError(f"unknown init {self.init!r}; expected one of {INIT_KINDS}")
-        if not (self.init_scale > 0 and math.isfinite(self.init_scale)):
-            raise ValueError(
-                f"init_scale must be a positive finite real, got {self.init_scale!r}"
-            )
+        check_scale(self.init_scale, "init_scale")
 
     @property
     def resolved_burn_in(self) -> int:
@@ -134,8 +132,7 @@ def draw_moves(
     that holds n-1, each narrowed before anything else is done with it, so a
     batch holds few bytes per move besides its offsets.
     """
-    if n_particles < 2:
-        raise ValueError(f"n_particles must be >= 2, got {n_particles}")
+    check_count(n_particles, 2, "n_particles")
     index = np.min_scalar_type(n_particles - 1)
     ii = rng.integers(0, n_particles, size=count).astype(index)
     jj = rng.integers(0, n_particles - 1, size=count).astype(index)
@@ -198,9 +195,7 @@ def _initial_positions(config: SimConfig, rng: np.random.Generator) -> list[floa
     return rng.uniform(-half, half, n).tolist()
 
 
-def lineage_moves(
-    ii: np.ndarray, jj: np.ndarray, a: int, b: int, n: int, block: int = 1 << 16
-) -> np.ndarray:
+def lineage_moves(ii: np.ndarray, jj: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     """Indices, ascending, of the moves in [a, b) whose writes reach step b.
 
     Each particle's lineage is followed back from b: its last write before b,
@@ -210,8 +205,7 @@ def lineage_moves(
     may write its own target: ``ii[m] != jj[m]`` for every m, as
     ``draw_moves`` gives.
 
-    The gap is walked back ``block`` moves at a time, so the lookup arrays stay
-    small. A block's moves are sorted by the packed key
+    The gap is walked back ``LINEAGE_BLOCK`` moves at a time. A block's moves are sorted by the packed key
     ``(jumper << shift) | index``, where ``2**shift`` exceeds every index, and
     the lineages live at the block's end are followed back as packed queries
     ``(particle << shift) | step``. While at least ``FRONTIER_WIDTH`` of them
@@ -226,8 +220,8 @@ def lineage_moves(
     targets = memoryview(jj)
     kept = []
     live = np.ones(n, dtype=bool)  # the particles whose values at step hi are read
-    for hi in range(b, a, -block):
-        lo = max(a, hi - block)
+    for hi in range(b, a, -LINEAGE_BLOCK):
+        lo = max(a, hi - LINEAGE_BLOCK)
         keys = np.left_shift(ii[lo:hi], shift, dtype=dtype)
         keys |= np.arange(lo, hi, dtype=dtype)
         keys.sort()

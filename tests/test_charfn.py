@@ -419,6 +419,26 @@ def test_cf_bound_check_survives_optimised_mode():
     assert "characteristic function left [-1, 1]: 1.5" in proc.stderr
 
 
+def test_argument_rules_survive_optimised_mode():
+    script = (
+        "import math\n"
+        "from turnover import charfn, simulator\n"
+        "for call in (lambda: charfn.distance_cf_limit(1.0, math.inf),\n"
+        "             lambda: simulator.draw_moves(None, 1, 1)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines() == [
+        "sigma must be a positive finite real, got inf",
+        "n_particles must be >= 2 and integral, got 1",
+    ]
+
+
 def test_particle_cf_two_particles_closed_form():
     for s in (0.0, 1.0, 7.3, -20.0):
         assert charfn.particle_cf(s, 2, GAUSS) == pytest.approx(

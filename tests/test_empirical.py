@@ -116,6 +116,11 @@ def test_kde_rejects_nan_samples_and_grid_points():
         empirical.kde(np.array([0.0, 1.0]), 1.0, np.array([np.nan]))
 
 
+def test_kde_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="at least one sample"):
+        empirical.kde(np.empty(0), 1.0, np.array([0.0, 1.0]))
+
+
 def test_empirical_cf_at_zero():
     assert empirical.empirical_cf(np.array([1.0, 2.0]), 0.0) == (1.0, 0.0)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from turnover import offsets
+from turnover import charfn, empirical, moments, offsets, simulator
 
 ALL_KINDS = [offsets.gaussian, offsets.uniform, offsets.two_point]
 
@@ -133,13 +133,15 @@ def test_cf_curvature_at_zero_is_minus_variance(make):
 
 
 def test_uniform_cf_taylor_branch_matches_direct_ratio():
+    # sin(u)/u suffers no cancellation near 0: it is within 1.4 ulp of exact
+    # at 1e-12 <= |u| <= 1e-4
     d = offsets.uniform(1.0)
     for u in (0.99e-4, 0.5e-4, 1e-6):
-        s = u / d.half_width  # routed through the Taylor branch
+        s = u / d.half_width
         assert d.cf(s) == pytest.approx(math.sin(u) / u, rel=1e-14)
     below = 0.99e-4 / d.half_width
     above = 1.01e-4 / d.half_width
-    # array path agrees with the scalar path on both branches
+    # array path agrees with the scalar path, at 0 and on either side of 1e-4
     s = np.array([0.0, below, above, 3.0, -3.0])
     np.testing.assert_allclose(d.cf(s), [d.cf(v) for v in s], rtol=0, atol=1e-16)
 
@@ -151,6 +153,62 @@ def test_validation():
         offsets.gaussian(0.0)
     with pytest.raises(ValueError):
         offsets.gaussian(-1.0)
+
+
+# every public function that takes a scale, called with that scale alone bad
+SCALED = {
+    "OffsetDistribution": lambda v: offsets.OffsetDistribution("gaussian", v),
+    "distance_cf_limit": lambda v: charfn.distance_cf_limit(1.0, v),
+    "laplace_pdf": lambda v: charfn.laplace_pdf(0.0, v),
+    "laplace_cdf": lambda v: empirical.laplace_cdf([-1.0, 0.0, 1.0], v),
+    "distance_pdf": lambda v: charfn.distance_pdf(0.0, 10, v),
+    "distances_joint_cf_limit": lambda v: charfn.distances_joint_cf_limit((1.0, 2.0), v),
+    "particle_cf_limit": lambda v: charfn.particle_cf_limit(1.0, 5, v),
+    "kde": lambda v: empirical.kde([0.0, 1.0], v, np.array([0.0, 1.0])),
+    "ks_laplace": lambda v: empirical.ks_laplace([0.0, 1.0], v),
+    "summarize": lambda v: empirical.summarize(np.zeros((2, 3)), v),
+    "SimConfig": lambda v: simulator.SimConfig(
+        n_particles=2, offsets=offsets.gaussian(1.0), steps=1, init_scale=v
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan], ids=["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("name", list(SCALED))
+def test_every_scale_must_be_a_positive_finite_real(name, scale):
+    with pytest.raises(ValueError, match="must be a positive finite real"):
+        SCALED[name](scale)
+
+
+# every count rule, at the first value it refuses and at a non-integer
+COUNTED = {
+    "SimConfig.n_particles": (2, lambda v: simulator.SimConfig(v, offsets.gaussian(1.0), 1)),
+    "SimConfig.steps": (0, lambda v: simulator.SimConfig(2, offsets.gaussian(1.0), v)),
+    "SimConfig.burn_in": (0, lambda v: simulator.SimConfig(2, offsets.gaussian(1.0), 1, v)),
+    "SimConfig.thin": (1, lambda v: simulator.SimConfig(2, offsets.gaussian(1.0), 1, thin=v)),
+    "draw_moves": (2, lambda v: simulator.draw_moves(np.random.default_rng(0), v, 1)),
+    "cf_scaled": (2, lambda v: offsets.gaussian(1.0).cf_scaled(1.0, v)),
+    "distance_cf": (2, lambda v: charfn.distance_cf(1.0, v, offsets.gaussian(1.0))),
+    "distance_pdf": (3, lambda v: charfn.distance_pdf(0.0, v, 1.0)),
+    "distances_joint_cf": (2, lambda v: charfn.distances_joint_cf((), v, offsets.gaussian(1.0))),
+    "particle_cf": (2, lambda v: charfn.particle_cf(1.0, v, offsets.gaussian(1.0))),
+    "particle_cf_limit": (2, lambda v: charfn.particle_cf_limit(1.0, v, 1.0)),
+    "accumulate_moments": (1, lambda v: empirical.accumulate_moments(np.ones(3), v)),
+    "summarize.bins": (1, lambda v: empirical.summarize(np.zeros((2, 3)), 1.0, bins=v)),
+    "summarize.kde_points": (1, lambda v: empirical.summarize(np.zeros((2, 3)), 1.0, kde_points=v)),
+    "partitions": (0, lambda v: list(moments.partitions(v))),
+    "phi_base": (0, moments.phi_base),
+    "build_phi_table": (0, moments.build_phi_table),
+    "PhiTable.moment": (1, moments.build_phi_table(2).moment),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNTED))
+def test_every_count_must_be_an_integer_at_its_least(name):
+    least, call = COUNTED[name]
+    for value in (least - 1, least + 0.5):
+        with pytest.raises(ValueError, match=f"must be >= {least} and integral"):
+            call(value)
 
 
 def test_from_name_accepts_dashes():

@@ -408,9 +408,10 @@ def test_lineage_moves_equal_a_backward_scan(monkeypatch, n):
         for block in (1, 7, 1 << 16):
             if block == 1 and b - a > 4000:
                 continue  # a block per move: slow, and covered at the shorter gaps
+            monkeypatch.setattr(simulator, "LINEAGE_BLOCK", block)
             for width in widths:
                 monkeypatch.setattr(simulator, "FRONTIER_WIDTH", width)
-                kept = simulator.lineage_moves(ii, jj, a, b, n, block)
+                kept = simulator.lineage_moves(ii, jj, a, b, n)
                 # equality, not a superset: every skipped write is really unread
                 assert kept.tolist() == expected, f"block {block}, width {width}"
         # the kept moves alone carry the state at a to the state at b
