@@ -68,14 +68,21 @@ def laplace_pdf(y, sigma: float):
     return 0.5 * c * np.exp(-c * np.abs(np.asarray(y, dtype=float)))
 
 
+def check_eps(eps, name: str) -> None:
+    """Raise ``ValueError`` unless ``eps``, the mixture's discarded mass, lies
+    in (0, 1). The CLI checks ``--eps`` with it also in modes that draw no
+    mixture."""
+    if not 0 < eps < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {eps!r}")
+
+
 def series_truncation(n_particles: int, eps: float) -> int:
     """Terms needed so the discarded mixture mass is below eps.
 
     Solves r^K / (n-2) <= eps * (1 - r) with r = (n-2)/(n-1) in closed form.
     """
     check_count(n_particles, 3, "n_particles")
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps!r}")
+    check_eps(eps, "eps")
     r = (n_particles - 2) / (n_particles - 1)
     k = math.ceil(math.log(eps * (1.0 - r) * (n_particles - 2)) / math.log(r))
     return max(k, 1)

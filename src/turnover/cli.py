@@ -23,7 +23,6 @@ import os
 import platform
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from . import __version__
 from .charfn import (
     DEFAULT_CAP,
     ResourceLimitError,
+    check_eps,
     distance_cf,
     distance_cf_limit,
     distance_pdf,
@@ -171,12 +171,6 @@ def _parse_tols(text: str) -> dict[int, float]:
             raise ValueError(f"bad tolerance item {item!r}: tolerances must be finite and >= 0")
         tols[order] = tol
     return tols
-
-
-def _check_eps(eps: float) -> None:
-    # the mixture's discarded mass, checked whether or not the mode draws one
-    if not 0 < eps < 1:
-        raise ValueError(f"--eps must be in (0, 1), got {eps!r}")
 
 
 # ---------------------------------------------------------------------- simulate
@@ -359,7 +353,7 @@ def cmd_cf(args: argparse.Namespace) -> CommandResult:
         raise ValueError(f"--k is required for mode {mode}")
     if needs_k:
         check_count(args.k, 1, "--k")
-    _check_eps(args.eps)
+    check_eps(args.eps, "--eps")
     offsets = from_name(args.offset, sigma)
     values = _cf_values(mode, args.n, args.k, offsets, args.cap, args.eps, points)
 
@@ -405,18 +399,6 @@ def _read_summary(path: str) -> EmpiricalSummary:
         raise ValueError(f"{path!r} is not a summary ({type(exc).__name__}: {exc})") from None
     if not isinstance(summary.config, dict) or not summary.config:
         raise ValueError(f"summary {path!r} carries no config block")
-    for key, values in (
-        ("moments", summary.raw_moments),
-        ("se.moments", summary.moment_ses),
-        ("ecf", [v for point in summary.ecf for v in point]),
-        ("se.ecf", summary.ecf_ses),
-        ("ks_laplace", [summary.ks_laplace]),
-    ):
-        for value in values:
-            if not isinstance(value, (int, float)):
-                raise ValueError(
-                    f"summary {path!r} has a {key} value that is not a number: {value!r}"
-                )
     return summary
 
 
@@ -431,13 +413,28 @@ def _check_config(name: str, config: dict, expected: dict, source: str) -> None:
             )
 
 
+def _verdict(estimate, se, reference, reference_se, band=None):
+    """``(gap, relative gap, pass)`` of one row; the relative gap is None
+    for a zero reference. A nonzero reference with a relative ``band`` (an
+    exact moment) is judged by the band. Every other row passes when the gap
+    is at most 4 times its SE, sqrt(se^2 + reference_se^2), which is 4 se
+    against an exact reference (reference_se 0); a row whose SE is not
+    finite fails."""
+    gap = abs(estimate - reference)
+    rel = gap / abs(reference) if reference != 0.0 else None
+    if band is not None and rel is not None:
+        return gap, rel, rel <= band
+    spread = math.hypot(se, reference_se)
+    return gap, rel, math.isfinite(spread) and gap <= 4.0 * spread
+
+
 def cmd_compare(args: argparse.Namespace) -> CommandResult:
     check_count(args.max_order, 1, "--max-order")
     if not (math.isfinite(args.ks_threshold) and args.ks_threshold >= 0):
         raise ValueError(
             f"--ks-threshold must be finite and >= 0, got {args.ks_threshold!r}"
         )
-    _check_eps(args.eps)
+    check_eps(args.eps, "--eps")
     summary = _read_summary(args.summary)
     cfg = summary.config
     expected = {"sigma": args.sigma, "n_particles": args.n}
@@ -458,10 +455,11 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
     max_order = min(args.max_order, len(summary.raw_moments))
     orders = range(1, max_order + 1)
 
-    # the references every row is checked against: a baseline run, or the
-    # Laplace limit and the finite-n one-distance CF for distances, or the
-    # exact limit-law moments for positions (which have no CF reference)
-    analytic_cf = {}
+    # each reference as (value, SE), the SE 0 for an exact law: a baseline
+    # run, or the Laplace limit and the finite-n one-distance CF for
+    # distances, or the exact limit-law moments for positions (which have no
+    # CF reference)
+    cf_refs = {}
     if args.baseline:
         baseline = _read_summary(args.baseline)
         if baseline.config.get("observable") != observable:
@@ -470,61 +468,35 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         _check_config("baseline", baseline.config, law, "the summary")
         if len(baseline.raw_moments) < max_order:
             raise ValueError(f"baseline has {len(baseline.raw_moments)} moments, need {max_order}")
-        exact_moments = baseline.raw_moments
+        moment_refs = list(zip(baseline.raw_moments, baseline.moment_ses))
         if distances:
             # the first baseline ECF row at each s wins
-            for s, re, _im in baseline.ecf:
-                analytic_cf.setdefault(s, re)
+            for (s, re, _im), se in zip(baseline.ecf, baseline.ecf_ses):
+                cf_refs.setdefault(s, (re, se))
     elif distances:
         # the Laplace moments k! (sigma^2/2)^(k/2) are |phi_base(k)| sigma^k
-        exact_moments = [float(abs(phi_base(order))) * sigma**order for order in orders]
-        analytic_cf = {s: float(distance_cf(s, n, offsets)) for s, _re, _im in summary.ecf}
+        moment_refs = [(float(abs(phi_base(k))) * sigma**k, 0.0) for k in orders]
+        cf_refs = {s: (float(distance_cf(s, n, offsets)), 0.0) for s, _re, _im in summary.ecf}
     else:
         table = _phi_table(max_order)
-        exact_moments = [float(table.moment(order)) * sigma**order for order in orders]
+        moment_refs = [(float(table.moment(k)) * sigma**k, 0.0) for k in orders]
 
-    all_pass = True
     moment_rows = []
-    for order, emp, se, exact in zip(
-        orders, summary.raw_moments, summary.moment_ses, exact_moments
+    for order, emp, se, (ref, ref_se) in zip(
+        orders, summary.raw_moments, summary.moment_ses, moment_refs
     ):
-        if exact != 0.0:
-            rel = abs(emp - exact) / abs(exact)
-            ok = rel <= tols.get(order, 0.60)
-        else:
-            rel = None
-            # a zero reference is checked against the sampling error instead
-            ok = math.isfinite(se) and abs(emp - exact) <= 4.0 * se
-        all_pass = all_pass and ok
-        moment_rows.append(
-            {
-                "order": order,
-                "empirical": emp,
-                "exact": exact,
-                "relative_gap": rel,
-                "se": None if not math.isfinite(se) else se,
-                "pass": ok,
-            }
-        )
-
+        # only an exact reference has relative bands
+        band = None if args.baseline else tols.get(order, 0.60)
+        _gap, rel, ok = _verdict(emp, se, ref, ref_se, band)
+        moment_rows.append({"order": order, "empirical": emp, "exact": ref, "relative_gap": rel,
+                            "se": se if math.isfinite(se) else None, "pass": ok})
     cf_rows = []
     for (s, re, _im), se in zip(summary.ecf, summary.ecf_ses):
-        analytic = analytic_cf.get(s)
-        if analytic is None:
-            continue
-        gap = abs(re - analytic)
-        ok = math.isfinite(se) and gap <= 4.0 * se
-        all_pass = all_pass and ok
-        cf_rows.append(
-            {
-                "s": s,
-                "empirical": re,
-                "analytic": analytic,
-                "gap": gap,
-                "se": None if not math.isfinite(se) else se,
-                "pass": ok,
-            }
-        )
+        if s in cf_refs:
+            ref, ref_se = cf_refs[s]
+            gap, _rel, ok = _verdict(re, se, ref, ref_se)
+            cf_rows.append({"s": s, "empirical": re, "analytic": ref, "gap": gap,
+                            "se": se if math.isfinite(se) else None, "pass": ok})
 
     ks_block = None
     overlay = {
@@ -534,16 +506,17 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         "mixture": None,
     }
     if distances:
-        ok = summary.ks_laplace <= args.ks_threshold
-        all_pass = all_pass and ok
         ks_block = {
             "stat": summary.ks_laplace,
             "threshold": args.ks_threshold,
-            "pass": ok,
+            "pass": summary.ks_laplace <= args.ks_threshold,
         }
         overlay["laplace"] = laplace_pdf(summary.kde_grid, sigma).tolist()
         if offsets.kind == "gaussian" and n > 2:
             overlay["mixture"] = distance_pdf(summary.kde_grid, n, sigma, args.eps).tolist()
+    all_pass = all(row["pass"] for row in moment_rows + cf_rows) and (
+        ks_block is None or ks_block["pass"]
+    )
 
     report = {
         "schema_version": 1,

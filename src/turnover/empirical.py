@@ -187,22 +187,35 @@ class EmpiricalSummary:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EmpiricalSummary":
-        def restore(v):
-            return float("nan") if v is None else v
+        """The summary that ``to_json_dict`` wrote. A statistic that is not a
+        number, or a moment or ECF value without its SE, raises
+        ``ValueError``; a missing key raises ``KeyError``."""
 
-        return cls(
+        def numbers(values, key, null=float("nan")):
+            # a null moment, SE or KS value reads as NaN; an ECF value has no null
+            values = [null if v is None else v for v in values]
+            for v in values:
+                if not isinstance(v, (int, float)):
+                    raise ValueError(f"{key} value {v!r} is not a number")
+            return values
+
+        summary = cls(
             sample_count=data["sample_count"],
-            raw_moments=[restore(v) for v in data["moments"]],
-            moment_ses=[restore(v) for v in data["se"]["moments"]],
+            raw_moments=numbers(data["moments"], "moments"),
+            moment_ses=numbers(data["se"]["moments"], "se.moments"),
             histogram_edges=np.asarray(data["histogram"]["edges"], dtype=float),
             histogram_counts=np.asarray(data["histogram"]["counts"], dtype=np.int64),
             kde_grid=np.asarray(data["kde"]["grid"], dtype=float),
             kde_values=np.asarray(data["kde"]["values"], dtype=float),
-            ecf=[(p["s"], p["re"], p["im"]) for p in data["ecf"]],
-            ecf_ses=[restore(v) for v in data["se"]["ecf"]],
-            ks_laplace=restore(data["ks_laplace"]),
+            ecf=[tuple(numbers((p["s"], p["re"], p["im"]), "ecf", None)) for p in data["ecf"]],
+            ecf_ses=numbers(data["se"]["ecf"], "se.ecf"),
+            ks_laplace=numbers([data["ks_laplace"]], "ks_laplace")[0],
             config=data.get("config", {}),
         )
+        ses = (len(summary.moment_ses), len(summary.ecf_ses))
+        if ses != (len(summary.raw_moments), len(summary.ecf)):
+            raise ValueError("every moment and ECF value needs its SE")
+        return summary
 
 
 def _frame_sums(frames: np.ndarray, max_order: int, ecf_points) -> tuple[list, list]:
@@ -275,6 +288,10 @@ def summarize(
         check_count(count, 1, "bins and kde_points")
     h = 0.1 * sigma if bandwidth is None else bandwidth
     check_scale(h, "bandwidth")
+    lo, hi = (-6.0 * sigma, 6.0 * sigma) if hist_range is None else hist_range
+    # a one-point range is legal: every sample counts in one bin
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"hist_range must be two finite numbers, lo <= hi, got {hist_range!r}")
     flat = frames.ravel()
 
     with ThreadPoolExecutor(1) as worker:
@@ -282,10 +299,6 @@ def summarize(
             contextvars.copy_context().run, _frame_sums, frames, max_order, ecf_points
         )
 
-        if hist_range is None:
-            lim = 6.0 * sigma
-            hist_range = (-lim, lim)
-        lo, hi = hist_range
         edges = np.linspace(lo, hi, bins + 1)
         counts, _ = np.histogram(flat, bins=edges)
         # a sample outside the range counts where the range end it is

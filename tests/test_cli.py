@@ -366,6 +366,40 @@ def test_compare_against_itself_has_zero_gaps(tmp_path):
     assert code in (0, 1)  # the ks verdict still judges the data itself
 
 
+def test_compare_judges_baseline_rows_by_their_combined_se(tmp_path):
+    # two runs of one law: a baseline's moments and ECF are noisy too, so
+    # every row is judged by 4 SEs of the gap, sqrt(se^2 + se_baseline^2),
+    # and never by the relative bands of an exact reference
+    summary, baseline = tmp_path / "d.json", tmp_path / "b.json"
+    for seed, path in ((1, summary), (2, baseline)):
+        assert run_cli(
+            "simulate", "--particles", 10, "--sigma", 0.1, "--steps", 20000,
+            "--seed", seed, "--out", path,
+        ) == 0
+    report_path = tmp_path / "rep.json"
+    code = run_cli(
+        "compare", "--summary", summary, "--baseline", baseline,
+        "--sigma", 0.1, "--n", 10, "--out", report_path,
+    )
+    report, own, base = read_json(report_path), read_json(summary), read_json(baseline)
+    rows = list(zip(report["moments"], own["moments"], own["se"]["moments"],
+                    base["moments"], base["se"]["moments"]))
+    assert len(rows) == 8
+    for row, emp, se, ref, ref_se in rows:
+        gap = abs(emp - ref)
+        assert row["pass"] is (gap <= 4.0 * math.hypot(se, ref_se))
+        assert ref != 0.0 and row["relative_gap"] == gap / abs(ref)
+    cf_rows = list(zip(report["cf_gaps"], own["ecf"], own["se"]["ecf"],
+                       base["ecf"], base["se"]["ecf"]))
+    assert len(cf_rows) == 4
+    for row, point, se, ref, ref_se in cf_rows:
+        assert row["s"] == point["s"] == ref["s"] and row["analytic"] == ref["re"]
+        assert row["pass"] is (row["gap"] <= 4.0 * math.hypot(se, ref_se))
+    verdicts = [row["pass"] for row in report["moments"] + report["cf_gaps"]]
+    assert report["pass"] is (all(verdicts) and report["ks"]["pass"])
+    assert (code == 0) is report["pass"]
+
+
 def test_compare_offset_flag_takes_either_spelling(tmp_path, capsys):
     summary = tmp_path / "d.json"
     assert run_cli(
@@ -516,6 +550,10 @@ def test_compare_rejects_files_that_are_not_summaries(tmp_path, capsys):
         ("e.json", dict(data, ecf=[dict(data["ecf"][0], re="x")]), "ecf value"),
         ("se.json", dict(data, se=dict(data["se"], ecf=["x"])), "se.ecf value"),
         ("k.json", dict(data, ks_laplace="0.1"), "ks_laplace value"),
+        # a statistic without its SE would drop its row from the report
+        ("ss.json", dict(data, se=dict(data["se"], ecf=data["se"]["ecf"][:1])), "needs its SE"),
+        ("ms.json", dict(data, se=dict(data["se"], moments=data["se"]["moments"][:3])),
+         "needs its SE"),
         ("h.json", dict(data, histogram=dict(data["histogram"], edges=["a"])), "is not a summary"),
         ("kv.json", dict(data, kde=dict(data["kde"], values=["x"])), "is not a summary"),
     ):

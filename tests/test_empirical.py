@@ -285,6 +285,17 @@ def test_summary_histogram_counts_outside_samples_as_clipped():
         np.testing.assert_array_equal(summary.histogram_counts, expected)
 
 
+def test_summary_rejects_a_bad_hist_range(monkeypatch):
+    # checked before the worker starts, with a message that names the range
+    started = []
+    monkeypatch.setattr(empirical, "_frame_sums", lambda *args: started.append(args))
+    frames = np.random.default_rng(15).laplace(0.0, 1.0, (4, 50))
+    for hist_range in ((math.nan, 1.0), (-math.inf, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="hist_range"):
+            empirical.summarize(frames, 1.0, hist_range=hist_range)
+    assert started == []
+
+
 def _pinned_frames():
     return np.random.default_rng(13).laplace(0.0, 0.1 / math.sqrt(2), (10001, 99))
 

@@ -2,8 +2,10 @@
 methods by name and reads their arguments in its attribute hooks; a rename or
 deletion in the package would break traced benchmark runs without failing any
 other test. The benchmark also times each command's start-up, so what
-importing the CLI loads is checked here too."""
+importing the CLI loads is checked here too, and so is every import that a
+package module makes and never uses."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "turnover"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
@@ -107,3 +110,28 @@ def test_cli_import_leaves_the_executor_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_module_uses_every_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        # the package's imports are its re-exports
+        used |= {
+            elt.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        }
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert not unused, f"{path.name} imports and never uses {unused}"
