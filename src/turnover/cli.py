@@ -198,7 +198,8 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
         init_scale=args.init_scale,
     )
     clock = time.perf_counter()
-    trajectory = run(config)
+    # only raw values need every walk to reach its gap's start
+    trajectory = run(config, centred=args.observe != "raw" and not args.trajectory_out)
     ran = time.perf_counter()
     frames = trajectory.observable(args.observe)
 
@@ -258,6 +259,8 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
         "write_s": time.perf_counter() - summarized,
         "peak_rss_mb": _peak_rss_mb(),
         "moves_applied": trajectory.moves_applied,
+        "frames_coalesced": int(trajectory.coalesced.sum()),
+        "burn_in_coalesced": bool(trajectory.coalesced[0]),
     }
     return outputs, summary.config, 0, {"phases": phases}
 
@@ -456,9 +459,9 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
     orders = range(1, max_order + 1)
 
     # each reference as (value, SE), the SE 0 for an exact law: a baseline
-    # run, or the Laplace limit and the finite-n one-distance CF for
-    # distances, or the exact limit-law moments for positions (which have no
-    # CF reference)
+    # run's moments and ECF, or the Laplace limit and the finite-n
+    # one-distance CF for distances, or the exact limit-law moments for
+    # positions (which have no exact CF reference)
     cf_refs = {}
     if args.baseline:
         baseline = _read_summary(args.baseline)
@@ -469,10 +472,9 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         if len(baseline.raw_moments) < max_order:
             raise ValueError(f"baseline has {len(baseline.raw_moments)} moments, need {max_order}")
         moment_refs = list(zip(baseline.raw_moments, baseline.moment_ses))
-        if distances:
-            # the first baseline ECF row at each s wins
-            for (s, re, _im), se in zip(baseline.ecf, baseline.ecf_ses):
-                cf_refs.setdefault(s, (re, se))
+        # the first baseline ECF row at each s wins
+        for (s, re, _im), se in zip(baseline.ecf, baseline.ecf_ses):
+            cf_refs.setdefault(s, (re, se))
     elif distances:
         # the Laplace moments k! (sigma^2/2)^(k/2) are |phi_base(k)| sigma^k
         moment_refs = [(float(abs(phi_base(k))) * sigma**k, 0.0) for k in orders]

@@ -41,10 +41,11 @@ def check_scale(value, name: str) -> None:
 def check_count(value, least: int, name: str) -> None:
     """Raise ``ValueError`` unless ``value`` is an integer of at least ``least``.
 
-    The rule for every count the package takes: particles, steps, orders,
-    bins and grid points.
+    The rule for every count the package takes: particles, steps, seeds,
+    orders, bins and grid points. A ``bool`` is not a count.
     """
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
         raise ValueError(f"{name} must be >= {least} and integral, got {value!r}")
 
 

@@ -8,52 +8,52 @@ The module also provides the renormalised view (positions centred by the
 ensemble mean and scaled by 1/sqrt(n)) and the row of inter-particle
 distances ``D_j = xbar[0] - xbar[j]``.
 
-``run`` works on two threads, one draw batch at a time. The calling thread
-draws every random number, in the stream's order: a batch's indices, then its
-offsets. One worker thread runs everything else in the order it is handed
-over: it follows the batch's lineages (below) on its index arrays while the
-calling thread draws its offsets, and it applies the kept moves and records
-the frames while the calling thread draws the next batch. numpy releases the
-GIL inside its random fills and large ufuncs, so the draws overlap the chase
-and the Python-level jump loop. The stream is consumed exactly as by a
-single thread: the same calls on the same generator in the same order, so the
-trajectory depends on the seed alone.
+The move stream comes in blocks of ``LINEAGE_BLOCK`` = B moves: block k holds
+moves kB .. (k+1)B - 1, where move m takes the state at step m to step m+1.
+Each block is a function of (seed, k) alone. Its generator is
+``default_rng(SeedSequence(seed, spawn_key=(k,)))``, which yields the block's
+jumpers and targets (``draw_moves``) and then its offsets. So any block can be
+drawn without the ones before it, and no move depends on the run's length, on
+which gaps are cut or on which blocks are drawn. The initial positions come
+from ``default_rng(seed)``, which no block shares.
 
 Only the moves a recorded frame can see are applied. The jump is a Moran
 resampling step: traced back from a frame, the lineages of the n particles
-coalesce as in Kingman's coalescent, within about n**2 moves, and after that
-only the moves of the one surviving lineage (about 1 in n) reach the frame.
-Before that, a stretch of g moves keeps a share of them that depends on g/n
-alone, (n/g) ln(1 + g/n): 0.40 at 4n, 0.18 at 16n. So ``run`` follows each
-particle's lineage back from a stop (a recorded frame or a batch end) and
-applies only the moves on it, in every stretch between two stops of at least
-n**2 moves once n is at least ``LINEAGE_MIN_PARTICLES``, and of at least
-``SHORT_GAP * n`` moves once n is at least ``SHORT_GAP_PARTICLES``. The
-lineages are followed in numpy, all live ones a step at a time, while enough
-of them are live, and one at a time after that (``lineage_moves``). Each kept
-move reads the value the full loop would give it, so every frame is
-bit-identical to applying all moves. The chase needs only the indices, so it
-is handed over before the batch's offsets are drawn and runs once the
-previous batch's moves are applied. It is not run inside the apply step: a
-worker that chased batch k there would hold its offsets while those of batch
-k+1 are drawn.
+coalesce as in Kingman's coalescent, after about (n-1)**2 moves, and after
+that only the moves of the one surviving lineage (about 1 in n) reach the
+frame. Before that, a stretch of g moves keeps a share of them that depends
+on g/n alone, (n/g) ln(1 + g/n): 0.40 at 4n, 0.18 at 16n. So ``run`` walks a
+long gap back from its frame, one block at a time (``lineage_moves``), and
+draws only the blocks the walk reaches. Each kept move reads the value the
+full loop would give it, so a walk that runs to the gap's start leaves the
+frame bit-identical to applying all moves. For centred observables a walk
+may stop as soon as one lineage is left (coupling from the past, Propp &
+Wilson 1996): the centred frame no longer depends on anything before that
+step.
+
+``run`` works on two threads. The calling thread draws every block, one
+ahead of the worker, in the order the worker needs them; the one worker
+thread walks the lineages and applies the moves, in the order it is handed
+them. numpy releases the GIL inside its random fills and large ufuncs, so the
+draws overlap the chase and the Python-level jump loop.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .offsets import OffsetDistribution, check_count, check_scale
 
-# Draw-batch size. Randomness is consumed in per-variable batches:
-# for each batch of b steps the stream yields b jumper indices, then b
-# target indices, then b offsets. The batch boundaries depend only on the
-# total step count, so trajectories are reproducible from the seed alone.
-CHUNK = 1 << 20
+# Moves per block of the random stream. Block k is drawn whole from its own
+# generator, so the size is part of the stream: changing it moves every
+# trajectory. ``lineage_moves`` walks one block at a time, so its lookup
+# arrays stay small.
+LINEAGE_BLOCK = 1 << 16
 
 # Fewest particles at which ``run`` applies only lineage moves, on gaps of at
 # least n**2. Finding a lineage move one lineage at a time, as at these n,
@@ -74,9 +74,15 @@ SHORT_GAP = 4
 # never takes the numpy step, so its chase is the walk it always was.
 FRONTIER_WIDTH = 128
 
-# Moves per block in which ``lineage_moves`` walks a gap back, so its lookup
-# arrays stay small.
-LINEAGE_BLOCK = 1 << 16
+# The interpreter's thread switch interval, in seconds, while ``run``'s worker
+# lives. The worker's jump loop holds the GIL, and the calling thread needs it
+# back after each numpy call that draws a block (eight for gaussian offsets).
+# At the default 5 ms it waits longer for it than the worker takes to apply a
+# block, so the draws fell out of step with the loop. Best of three on a
+# shared 2-vCPU host, at 5 ms / 0.2 ms: a 20M-step run at n = 100 with a frame
+# every 2000 steps took 1.19 / 0.83 s, and the README ``simulate``'s run 87 /
+# 70 ms.
+SWITCH_INTERVAL = 2e-4
 
 INIT_KINDS = ("all_zero", "iid_gaussian", "iid_uniform")
 
@@ -109,6 +115,7 @@ class SimConfig:
         check_count(self.steps, 0, "steps")
         if self.burn_in is not None:
             check_count(self.burn_in, 0, "burn_in")
+        check_count(self.seed, 0, "seed")
         check_count(self.thin, 1, "thin")
         if self.init not in INIT_KINDS:
             raise ValueError(f"unknown init {self.init!r}; expected one of {INIT_KINDS}")
@@ -125,12 +132,11 @@ def draw_moves(
     """Draw the jumpers i and targets j of ``count`` moves from the stream.
 
     The jumper i is uniform on [0, n); the target j is uniform on the other
-    n-1 indices, realised by drawing on [0, n-1) and shifting past i. The
-    batch's offsets come next in the stream: ``offsets.sample(rng, count)``.
-    ``run`` draws them separately, so that the lineage chase can work on the
-    indices meanwhile. Both index arrays come in the narrowest unsigned dtype
-    that holds n-1, each narrowed before anything else is done with it, so a
-    batch holds few bytes per move besides its offsets.
+    n-1 indices, realised by drawing on [0, n-1) and shifting past i. A
+    block's offsets come next from the same generator:
+    ``offsets.sample(rng, count)``. Both index arrays come in the narrowest
+    unsigned dtype that holds n-1, each narrowed before anything else is done
+    with it, so a block holds few bytes per move besides its offsets.
     """
     check_count(n_particles, 2, "n_particles")
     index = np.min_scalar_type(n_particles - 1)
@@ -156,12 +162,20 @@ def distance_row(xbar: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Recorded frames of one run: raw positions at the recorded steps."""
+    """Recorded frames of one run: positions at the recorded steps.
+
+    A ``centred`` run records each frame up to a shift shared by all its
+    particles (see ``run``), so only its centred observables are defined.
+    """
 
     config: SimConfig
     times: np.ndarray
     positions: np.ndarray  # shape (n_frames, n_particles)
     moves_applied: int  # moves the jump loop applied to record the frames
+    centred: bool
+    # per frame: its backward walk ended with one lineage, so its centred
+    # value does not depend on anything before the walk's end
+    coalesced: np.ndarray
 
     @property
     def n_frames(self) -> int:
@@ -176,6 +190,8 @@ class Trajectory:
     def observable(self, name: str) -> np.ndarray:
         """Frames of the named observable: raw | positions | distances."""
         if name == "raw":
+            if self.centred:
+                raise ValueError("a centred run has no raw observable")
             return self.positions
         if name == "positions":
             return self.renormalised()
@@ -195,127 +211,133 @@ def _initial_positions(config: SimConfig, rng: np.random.Generator) -> list[floa
     return rng.uniform(-half, half, n).tolist()
 
 
-def lineage_moves(ii: np.ndarray, jj: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """Indices, ascending, of the moves in [a, b) whose writes reach step b.
+def lineage_moves(
+    ii: np.ndarray, jj: np.ndarray, lo: int, hi: int, live: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The moves in [lo, hi) whose writes reach step hi, and who is read at lo.
 
-    Each particle's lineage is followed back from b: its last write before b,
-    then the last write to that move's target before that move, and so on,
-    until a move already found or step a. Applied in order from the state at
-    step a, these moves alone give the state at step b, bit for bit. No move
-    may write its own target: ``ii[m] != jj[m]`` for every m, as
-    ``draw_moves`` gives.
+    ``live`` marks, per particle, the values at step hi that are read. Each
+    live particle's lineage is followed back from hi: its last write before
+    hi, then the last write to that move's target before that move, and so
+    on, until a move already found or step lo. Returns the indices, ascending,
+    of the moves found, and a mask of the particles whose values at step lo
+    are read. Applied in order from the state at step lo, these moves alone
+    give every live particle's value at step hi, bit for bit. ``lo < hi``, and
+    no move may write its own target: ``ii[m] != jj[m]`` for every m, as
+    ``draw_moves`` gives. ``run`` calls it on one block at a time, walking a
+    gap back with the returned mask.
 
-    The gap is walked back ``LINEAGE_BLOCK`` moves at a time. A block's moves are sorted by the packed key
-    ``(jumper << shift) | index``, where ``2**shift`` exceeds every index, and
-    the lineages live at the block's end are followed back as packed queries
-    ``(particle << shift) | step``. While at least ``FRONTIER_WIDTH`` of them
-    are live, all of them take one step back at once: one ``np.searchsorted``
-    of the sorted queries finds each one's last write, and the writes two
-    lineages share sit side by side. A narrower frontier is walked one lineage
-    at a time by bisection.
+    The moves are sorted by the packed key ``(jumper << shift) | index``,
+    where ``2**shift`` exceeds every index, and the lineages are followed
+    back as packed queries ``(particle << shift) | step``. While at least
+    ``FRONTIER_WIDTH`` of them are live, all of them take one step back at
+    once: one ``np.searchsorted`` of the sorted queries finds each one's last
+    write, and the writes two lineages share sit side by side. A narrower
+    frontier is walked one lineage at a time by bisection.
     """
+    n = len(live)
     shift = len(ii).bit_length()
     dtype = np.min_scalar_type(n << shift)
     index = (1 << shift) - 1
     targets = memoryview(jj)
-    kept = []
-    live = np.ones(n, dtype=bool)  # the particles whose values at step hi are read
-    for hi in range(b, a, -LINEAGE_BLOCK):
-        lo = max(a, hi - LINEAGE_BLOCK)
-        keys = np.left_shift(ii[lo:hi], shift, dtype=dtype)
-        keys |= np.arange(lo, hi, dtype=dtype)
-        keys.sort()
-        found = np.zeros(hi - lo, dtype=bool)  # the moves kept, from lo on
-        if np.count_nonzero(live) < FRONTIER_WIDTH:
-            needed = np.zeros(n, dtype=bool)  # the particles whose values at lo are read
-            queries = np.flatnonzero(live).astype(dtype) << shift
-            queries |= hi
-        else:
-            # each live lineage's first step back is its particle's last write
-            # in the block, which ends that particle's run of keys. Read off the
-            # keys, not searched for: at n = 10**5 a 1M-move gap chases in
-            # 50 ms this way and 63 ms through the loop below (best of five,
-            # shared 2-vCPU host), and chain-n100k's config runs in 0.57 s
-            # against 0.73 s
-            particle = keys >> shift
-            last = keys[np.r_[particle[1:] != particle[:-1], True]]
-            needed = live.copy()
-            needed[last >> shift] = False
-            moves = last[live[last >> shift]] & index
-            found[moves - lo] = True
-            queries = np.left_shift(jj[moves], shift, dtype=dtype)
-            queries |= moves
-        while len(queries) >= FRONTIER_WIDTH:
-            queries.sort()
-            k = np.searchsorted(keys, queries)
-            # at k = 0, keys[-1] is another particle's write: a query of q
-            # below every key would need a block that writes q alone, yet it
-            # comes from hi (above every key) or from a move that reads q
-            last = keys[k - 1]
-            written = (last ^ queries) >> shift == 0  # the same particle
-            needed[queries[~written] >> shift] = True
-            last = last[written]  # ascending, so a shared write repeats in place
-            moves = last[np.r_[True, last[1:] != last[:-1]]] & index if len(last) else last
-            moves = moves[~found[moves - lo]]
-            found[moves - lo] = True
-            queries = np.left_shift(jj[moves], shift, dtype=dtype)
-            queries |= moves
-        kv, fv, nv = memoryview(keys), memoryview(found), memoryview(needed)
-        # with at least 16 moves a particle, bisect among the writes to q
-        # alone: they sit at [first[q], first[q + 1]). A 1M-move gap chases in
-        # 12, 11, 10 and 22 ms with this table at n = 100, 256, 512, 4096 and
-        # in 15, 13, 12 and 22 ms without; at n = 8192, 2 * 10**4 and 5 * 10**4
-        # building it for each block costs more (43/39, 46/31, 81/41 ms)
-        first = 16 * n <= hi - lo and np.searchsorted(
-            keys, np.arange(n + 1, dtype=dtype) << shift
-        ).tolist()
-        for query in queries.tolist():
-            while True:
-                q = query >> shift
-                if first:
-                    k = bisect_left(kv, query, first[q], first[q + 1])
-                    written = k > first[q]
-                else:
-                    k = bisect_left(kv, query)
-                    written = not (kv[k - 1] ^ query) >> shift  # as above at k = 0
-                if not written:
-                    nv[q] = True  # no write to q in [lo, query's step)
-                    break
-                m = kv[k - 1] & index
-                if fv[m - lo]:
-                    break  # joins a lineage already followed
-                fv[m - lo] = True
-                query = targets[m] << shift | m
-        kept.append(np.flatnonzero(found) + lo)
-        live = needed
-    return np.concatenate(kept[::-1]) if kept else np.empty(0, dtype=np.intp)
+    keys = np.left_shift(ii[lo:hi], shift, dtype=dtype)
+    keys |= np.arange(lo, hi, dtype=dtype)
+    keys.sort()
+    found = np.zeros(hi - lo, dtype=bool)  # the moves kept, from lo on
+    if np.count_nonzero(live) < FRONTIER_WIDTH:
+        needed = np.zeros(n, dtype=bool)  # the particles whose values at lo are read
+        queries = np.flatnonzero(live).astype(dtype) << shift
+        queries |= hi
+    else:
+        # each live lineage's first step back is its particle's last write
+        # in the block, which ends that particle's run of keys. Read off the
+        # keys, not searched for: at n = 10**5 a 1M-move gap chases in
+        # 50 ms this way and 63 ms through the loop below (best of five,
+        # shared 2-vCPU host)
+        particle = keys >> shift
+        last = keys[np.r_[particle[1:] != particle[:-1], True]]
+        needed = live.copy()
+        needed[last >> shift] = False
+        moves = last[live[last >> shift]] & index
+        found[moves - lo] = True
+        queries = np.left_shift(jj[moves], shift, dtype=dtype)
+        queries |= moves
+    while len(queries) >= FRONTIER_WIDTH:
+        queries.sort()
+        k = np.searchsorted(keys, queries)
+        # at k = 0, keys[-1] is another particle's write: a query of q
+        # below every key would need a block that writes q alone, yet it
+        # comes from hi (above every key) or from a move that reads q
+        last = keys[k - 1]
+        written = (last ^ queries) >> shift == 0  # the same particle
+        needed[queries[~written] >> shift] = True
+        last = last[written]  # ascending, so a shared write repeats in place
+        moves = last[np.r_[True, last[1:] != last[:-1]]] & index if len(last) else last
+        moves = moves[~found[moves - lo]]
+        found[moves - lo] = True
+        queries = np.left_shift(jj[moves], shift, dtype=dtype)
+        queries |= moves
+    kv, fv, nv = memoryview(keys), memoryview(found), memoryview(needed)
+    # with at least 16 moves a particle, bisect among the writes to q
+    # alone: they sit at [first[q], first[q + 1]). A 1M-move gap chases in
+    # 12, 11, 10 and 22 ms with this table at n = 100, 256, 512, 4096 and
+    # in 15, 13, 12 and 22 ms without; at n = 8192, 2 * 10**4 and 5 * 10**4
+    # building it for each block costs more (43/39, 46/31, 81/41 ms)
+    first = 16 * n <= hi - lo and np.searchsorted(
+        keys, np.arange(n + 1, dtype=dtype) << shift
+    ).tolist()
+    for query in queries.tolist():
+        while True:
+            q = query >> shift
+            if first:
+                k = bisect_left(kv, query, first[q], first[q + 1])
+                written = k > first[q]
+            else:
+                k = bisect_left(kv, query)
+                written = not (kv[k - 1] ^ query) >> shift  # as above at k = 0
+            if not written:
+                nv[q] = True  # no write to q in [lo, query's step)
+                break
+            m = kv[k - 1] & index
+            if fv[m - lo]:
+                break  # joins a lineage already followed
+            fv[m - lo] = True
+            query = targets[m] << shift | m
+    return np.flatnonzero(found) + lo, needed
 
 
-def _gaps(frames: range, end: int):
-    """A batch's gaps (a, b): up to each frame offset in turn, then to end."""
-    a = 0
-    for b in frames:
-        yield a, b
-        a = b
-    if a < end:
-        yield a, end
-
-
-def run(config: SimConfig) -> Trajectory:
+def run(config: SimConfig, centred: bool = False) -> Trajectory:
     """Run the chain and record frames.
 
     Deterministic given the seed. The state reached after burn-in is the
     first recorded frame; afterwards every thin-th state is recorded, so a
-    run with steps=0 records exactly one frame. Steps after the last frame
-    change no frame, so they are not applied.
+    run with steps=0 records exactly one frame. No block after the last
+    frame's is drawn.
 
-    Each batch is cut at its stops: the frames it reaches and its end, since
-    the next batch's reads are unknown. A gap between stops is cut down to its
-    lineage moves (``lineage_moves``) if it holds at least n**2 moves and
-    n >= ``LINEAGE_MIN_PARTICLES``, or at least ``SHORT_GAP * n`` = 4n moves
-    and n >= ``SHORT_GAP_PARTICLES`` = 2**16; every other gap is applied
-    whole. The frames are bit-identical either way;
-    ``Trajectory.moves_applied`` counts the moves the loop applied.
+    The gap of moves before each frame is cut down to its lineage moves if it
+    holds at least n**2 moves and n >= ``LINEAGE_MIN_PARTICLES``, or at least
+    ``SHORT_GAP * n`` = 4n moves and n >= ``SHORT_GAP_PARTICLES`` = 2**16;
+    every other gap is applied whole, its blocks drawn in ascending order.
+    A cut gap is walked back from its frame one block at a time, drawing only
+    the blocks the walk reaches, and its kept moves are then applied in
+    order. ``Trajectory.moves_applied`` counts the moves the loop applied.
+
+    With ``centred=False`` every walk runs to its gap's start, and every
+    frame is bit-identical to applying all moves. With ``centred=True`` a
+    walk also stops at the end of a block where one lineage is left, and
+    ``Trajectory.coalesced`` marks its frame. Every particle of that frame
+    then descends from the survivor's value at that step, yet the kept moves
+    are applied to the state at the gap's start: the frame carries one stale
+    shift shared by all its particles, which centring cancels, so its raw
+    values are not the chain's and ``observable("raw")`` refuses them. The
+    centred frames equal the full loop's up to rounding. Each recorded value
+    is its ancestor's value plus its lineage's offsets, added left to right;
+    both runs add the same offsets to values that differ by the shift, and
+    each addition rounds by at most half an ulp of M, the full loop's largest
+    |x| plus the largest shift. So a value differs from the full loop's plus
+    the shift by at most L ulps of M, for L additions on its lineage since
+    step 0, and a centred value by at most (2L + 2n + 4) ulps of M over
+    sqrt(n), the two means' rounding included.
 
     A gap of g moves keeps a share (n/g) ln(1 + g/n) of them (0.46, 0.40,
     0.32, 0.27 at 3n, 4n, 6n, 8n), and the cut wins where skipping the rest
@@ -330,86 +352,136 @@ def run(config: SimConfig) -> Trajectory:
         2**16   167/162  144/150  125/162  119/142
         10**5   161/168  170/187  127/172  114/135
 
-    This thread draws a batch's indices (``draw_moves``) and hands their
-    lineage chase to the worker thread, which runs it once the previous
-    batch's moves are applied, while this thread draws the batch's offsets.
-    The chase reads the indices alone, so it runs before the batch's offsets
-    exist and keeps none alive. The kept moves are gathered here and handed
-    back to the worker, which applies batch k while this thread draws batch
-    k+1. A batch whose gaps are all cut down is not handed over, so only its
-    few kept moves outlive its draw. The worker is one executor thread: a
-    failure there is re-raised here through its future, and the thread is
-    joined on every exit path.
+    This thread draws every block (``draw_moves``, then the offsets) and
+    hands the worker thread the chase of each block of a walk, or the moves
+    of each block of a whole gap. It draws the next block the walk or the
+    gap needs while the worker works on this one (for a centred walk, only
+    while it has covered fewer than n**2 moves), and hands it over only once
+    the worker is done, so at most one drawn block waits. A walk's kept moves
+    are gathered on the worker, and the worker applies them after the walk's
+    last block. The worker is one executor thread: a failure there is
+    re-raised here through its future, and the thread is joined on every exit
+    path. While it lives, the interpreter's switch interval is at most
+    ``SWITCH_INTERVAL``, so that this thread gets the GIL back from the jump
+    loop soon after each numpy call of a draw.
     """
     # imported here, not at the top: it pulls in logging, which no other
     # command needs at start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    rng = np.random.default_rng(config.seed)
-    x = _initial_positions(config, rng)
     n = config.n_particles
+    size = LINEAGE_BLOCK
     burn_in = config.resolved_burn_in
-    total = burn_in + config.steps
-    schedule = range(burn_in, total + 1, config.thin)
-    last = schedule[-1]
-    times = np.array(schedule, dtype=np.int64)
+    schedule = range(burn_in, burn_in + config.steps + 1, config.thin)
     positions = np.empty((len(schedule), n))
-    frame = 0  # the next frame to record
+    coalesced = np.zeros(len(schedule), dtype=bool)
+    x = _initial_positions(config, np.random.default_rng(config.seed))
     shortest = math.inf  # gaps of at least this many moves are cut down
     if n >= LINEAGE_MIN_PARTICLES:
         shortest = n * n
         if n >= SHORT_GAP_PARTICLES:
             shortest = min(shortest, SHORT_GAP * n)
+    drawn = {}  # the last block drawn, by number
 
-    def chase(ii, jj, gaps: list) -> dict:
-        # the lineage moves of each gap (a, b), keyed by b
-        return {b: lineage_moves(ii, jj, a, b, n) for a, b in gaps}
+    def block(k: int) -> tuple:
+        if k not in drawn:
+            drawn.clear()
+            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
+            ii, jj = draw_moves(rng, n, size)
+            drawn[k] = ii, jj, config.offsets.sample(rng, size)
+        return drawn[k]
 
-    def apply(moves, frames: range, end: int, lineages: dict) -> None:
-        # steps 1..end of the batch; records the frames at the offsets `frames`
-        nonlocal frame
-        # memoryviews hand out Python ints and floats one at a time, which is
-        # faster than tolist() and builds no per-batch lists
+    def forward(moves, lo: int, hi: int, base: int, frames: range) -> None:
+        # moves lo..hi-1 of the block that starts at move `base`, recording
+        # the frames that fall among them. memoryviews hand out Python ints
+        # and floats one at a time, which is faster than tolist()
         views = [memoryview(v) for v in moves]
-        for a, b in _gaps(frames, end):
-            for i, j, d in zip(*(lineages.get(b) or [v[a:b] for v in views])):
+        for f in [*frames, None]:
+            b = hi if f is None else schedule[f] - base
+            for i, j, d in zip(*(v[lo:b] for v in views)):
                 x[i] = x[j] + d
-            if b in frames:
-                positions[frame] = x
-                frame += 1
+            if f is not None:
+                positions[f] = x
+            lo = b
 
-    applying = None
-    planned = 0  # frames handed to the worker
+    def chase(moves, lo: int, hi: int, live):
+        kept, live = lineage_moves(moves[0], moves[1], lo, hi, live)
+        return tuple(v[kept] for v in moves), live
+
+    def apply(pieces: list, f: int) -> None:
+        for piece in reversed(pieces):
+            for i, j, d in zip(*map(memoryview, piece)):
+                x[i] = x[j] + d
+        positions[f] = x
+
     applied = 0
-    with ThreadPoolExecutor(1) as worker:
-        for start in range(0, last, CHUNK):
-            count = min(CHUNK, total - start)
-            ii, jj = draw_moves(rng, n, count)
-            end = min(count, last - start)
-            reached = len(range(burn_in, start + end + 1, config.thin))
-            due = schedule[planned:reached]
-            frames = range(due.start - start, due.stop - start, config.thin)
-            planned = reached
-            chased = [(a, b) for a, b in _gaps(frames, end) if b - a >= shortest]
-            # queued behind the previous batch's moves, beside this offset draw
-            chasing = worker.submit(chase, ii, jj, chased)
-            dd = config.offsets.sample(rng, count)
-            kept = chasing.result()
-            moves = ii, jj, dd
-            lineages = {b: tuple(memoryview(v[k]) for v in moves) for b, k in kept.items()}
-            whole = end - sum(b - a for a, b in chased)  # moves of the uncut gaps
-            applied += whole + sum(map(len, kept.values()))
-            if applying is not None:
-                applying.result()
-            # a batch with no uncut gap is not handed over, so it is freed here
-            # whichever thread runs first; otherwise the worker frees it
-            applying = worker.submit(apply, moves if whole else (), frames, end, lineages)
-            del moves, lineages, ii, jj, dd, kept
+    applying = None  # the worker's last apply task
+
+    def hand(task, *args) -> None:
+        # after the worker's last apply task, whose failure is raised here
+        nonlocal applying
         if applying is not None:
             applying.result()
-    # only a run whose last frame needs no step gets here with a frame left:
-    # the initial state at time 0
-    positions[frame:] = x
+        applying = worker.submit(task, *args)
+
+    def walk(f: int) -> None:
+        nonlocal applied
+        a, b = (schedule[f - 1] if f else 0), schedule[f]
+        live = np.ones(n, dtype=bool)
+        pieces = []  # per block, last block first
+        k, hi = (b - 1) // size, b
+        while True:
+            base = k * size
+            lo = max(a, base)
+            # queued behind the worker's last task, beside the next draw
+            chasing = worker.submit(chase, block(k), lo - base, hi - base, live)
+            # the block before is drawn meanwhile, unless a centred walk has
+            # covered n**2 moves, within which 62 % of walks coalesce
+            if lo > a and not (centred and b - base >= n * n):
+                block(k - 1)
+            piece, live = chasing.result()
+            pieces.append(piece)
+            if centred and np.count_nonzero(live) == 1:
+                coalesced[f] = True
+                break
+            if lo == a:
+                break
+            k, hi = k - 1, base
+        applied += sum(len(piece[0]) for piece in pieces)
+        hand(apply, pieces, f)
+
+    def whole(frames: range) -> None:
+        nonlocal applied
+        a = schedule[frames[0] - 1] if frames[0] else 0
+        end = schedule[frames[-1]]
+        for k in range(a // size, -(-end // size)):
+            base = k * size
+            inside = range(
+                bisect_right(schedule, base, frames.start, frames.stop),
+                bisect_right(schedule, base + size, frames.start, frames.stop),
+            )
+            hand(forward, block(k), max(a, base) - base, min(end, base + size) - base,
+                 base, inside)
+        applied += end - a
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(min(interval, SWITCH_INTERVAL))
+    try:
+        with ThreadPoolExecutor(1) as worker:
+            # the burn-in's frame, then the rest, each gap the same length
+            for frames, gap in ((range(1), burn_in), (range(1, len(schedule)), config.thin)):
+                if not gap:
+                    positions[0] = x  # the worker has nothing yet
+                elif gap >= shortest:
+                    for f in frames:
+                        walk(f)
+                elif frames:
+                    whole(frames)
+            if applying is not None:
+                applying.result()
+    finally:
+        sys.setswitchinterval(interval)
     return Trajectory(
-        config=config, times=times, positions=positions, moves_applied=applied
+        config=config, times=np.array(schedule, dtype=np.int64), positions=positions,
+        moves_applied=applied, centred=centred, coalesced=coalesced,
     )

@@ -255,8 +255,11 @@ def test_simulate_deterministic_and_manifest(tmp_path):
         assert env["platform"] == platform.platform()
     # per-phase costs go in the manifest, never in the payload
     phases = manifest["phases"]
-    assert set(phases) == {"run_s", "summarize_s", "write_s", "peak_rss_mb", "moves_applied"}
+    assert set(phases) == {"run_s", "summarize_s", "write_s", "peak_rss_mb", "moves_applied",
+                           "frames_coalesced", "burn_in_coalesced"}
     applied = phases.pop("moves_applied")
+    # n = 10 applies every gap whole, so no walk ends with one lineage
+    assert phases.pop("frames_coalesced") == 0 and phases.pop("burn_in_coalesced") is False
     assert all(isinstance(v, float) and v >= 0 for v in phases.values())
     assert phases["peak_rss_mb"] > 0
     assert "phases" not in read_json(out1)
@@ -274,6 +277,32 @@ def test_simulate_deterministic_and_manifest(tmp_path):
     assert moves_applied(1) == 5000
     # one gap of 5000 >= n**2 moves: only its lineage moves are applied
     assert moves_applied(5000) < 5000
+
+
+def test_simulate_manifest_counts_coalesced_frames(tmp_path):
+    # gaps of 6 n**2 at n = 64: every frame's lineages coalesce within its gap
+    # (at this seed), which the walks of a centred run see and a raw run's,
+    # which all run to their gap's start, do not
+    gap = 6 * 64 * 64
+    out = tmp_path / "d.json"
+
+    def phases(observe):
+        assert run_cli(
+            "simulate", "--particles", 64, "--sigma", 0.1, "--steps", 4 * gap,
+            "--burn-in", gap, "--thin", gap, "--seed", 3, "--observe", observe, "--out", out,
+        ) == 0
+        return read_json(tmp_path / "d.json.manifest.json")["phases"]
+
+    centred = phases("distances")
+    assert centred["frames_coalesced"] == 5 and centred["burn_in_coalesced"] is True
+    raw = phases("raw")
+    assert raw["frames_coalesced"] == 0 and raw["burn_in_coalesced"] is False
+
+
+def test_simulate_refuses_a_negative_seed(tmp_path, capsys):
+    assert run_cli("simulate", "--particles", 3, "--sigma", 0.1, "--steps", 10,
+                   "--seed", -1, "--out", tmp_path / "d.json") == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_simulate_burn_in_help_states_the_default(tmp_path, capsys):
@@ -398,6 +427,26 @@ def test_compare_judges_baseline_rows_by_their_combined_se(tmp_path):
     verdicts = [row["pass"] for row in report["moments"] + report["cf_gaps"]]
     assert report["pass"] is (all(verdicts) and report["ks"]["pass"])
     assert (code == 0) is report["pass"]
+
+
+def test_compare_gives_positions_their_baseline_cf_rows(tmp_path):
+    # a baseline ECF is a reference for any observable, positions too
+    summary, baseline = tmp_path / "p.json", tmp_path / "b.json"
+    for seed, path in ((3, summary), (4, baseline)):
+        assert run_cli(
+            "simulate", "--particles", 20, "--sigma", 0.1, "--steps", 200_000,
+            "--observe", "positions", "--seed", seed, "--out", path,
+        ) == 0
+    report_path = tmp_path / "rep.json"
+    assert run_cli(
+        "compare", "--summary", summary, "--baseline", baseline,
+        "--sigma", 0.1, "--n", 20, "--out", report_path,
+    ) in (0, 1)
+    report, own, base = read_json(report_path), read_json(summary), read_json(baseline)
+    shared = [p["s"] for p in own["ecf"] if p["s"] in {q["s"] for q in base["ecf"]}]
+    assert shared and [row["s"] for row in report["cf_gaps"]] == shared
+    for row, point in zip(report["cf_gaps"], base["ecf"]):
+        assert row["analytic"] == point["re"]
 
 
 def test_compare_offset_flag_takes_either_spelling(tmp_path, capsys):

@@ -180,12 +180,14 @@ def test_every_scale_must_be_a_positive_finite_real(name, scale):
         SCALED[name](scale)
 
 
-# every count rule, at the first value it refuses and at a non-integer
+# every count rule, at the first value it refuses, at a non-integer and at a
+# bool, which is an int to isinstance
 COUNTED = {
     "SimConfig.n_particles": (2, lambda v: simulator.SimConfig(v, offsets.gaussian(1.0), 1)),
     "SimConfig.steps": (0, lambda v: simulator.SimConfig(2, offsets.gaussian(1.0), v)),
     "SimConfig.burn_in": (0, lambda v: simulator.SimConfig(2, offsets.gaussian(1.0), 1, v)),
     "SimConfig.thin": (1, lambda v: simulator.SimConfig(2, offsets.gaussian(1.0), 1, thin=v)),
+    "SimConfig.seed": (0, lambda v: simulator.SimConfig(2, offsets.gaussian(1.0), 1, seed=v)),
     "draw_moves": (2, lambda v: simulator.draw_moves(np.random.default_rng(0), v, 1)),
     "cf_scaled": (2, lambda v: offsets.gaussian(1.0).cf_scaled(1.0, v)),
     "distance_cf": (2, lambda v: charfn.distance_cf(1.0, v, offsets.gaussian(1.0))),
@@ -206,7 +208,7 @@ COUNTED = {
 @pytest.mark.parametrize("name", list(COUNTED))
 def test_every_count_must_be_an_integer_at_its_least(name):
     least, call = COUNTED[name]
-    for value in (least - 1, least + 0.5):
+    for value in (least - 1, least + 0.5, True):
         with pytest.raises(ValueError, match=f"must be >= {least} and integral"):
             call(value)
 

@@ -13,10 +13,33 @@ from turnover.empirical import batch_means_se
 
 
 def _draw(rng, n, dist, count):
-    """A batch of moves (i, j, delta) in the stream's order: the indices of
+    """Moves (i, j, delta) in a generator's order: the indices of
     ``draw_moves``, then the offsets."""
     ii, jj = simulator.draw_moves(rng, n, count)
     return ii, jj, dist.sample(rng, count)
+
+
+def _stream(seed, n, dist, count, block=None):
+    """The first ``count`` moves of the block stream: block k is drawn whole
+    from its own generator, keyed by (seed, k)."""
+    block = block or simulator.LINEAGE_BLOCK
+    parts = [
+        _draw(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))), n, dist, block)
+        for k in range(-(-count // block))
+    ]
+    return [np.concatenate(v)[:count] for v in zip(*parts)] if parts else [np.empty(0)] * 3
+
+
+def _initial(config):
+    """The initial positions, drawn from the seed's own generator."""
+    rng = np.random.default_rng(config.seed)
+    n = config.n_particles
+    if config.init == "iid_gaussian":
+        return (rng.standard_normal(n) * config.init_scale).tolist()
+    if config.init == "iid_uniform":
+        half = math.sqrt(3.0) * config.init_scale
+        return rng.uniform(-half, half, n).tolist()
+    return [0.0] * n
 
 
 def test_run_matches_straight_line_reimplementation():
@@ -27,8 +50,7 @@ def test_run_matches_straight_line_reimplementation():
     )
     trajectory = simulator.run(config)
 
-    rng = np.random.default_rng(42)
-    ii, jj, dd = _draw(rng, 4, dist, 10)
+    ii, jj, dd = _stream(42, 4, dist, 10)
     x = [0.0, 0.0, 0.0, 0.0]
     reference = [list(x)]
     for i, j, d in zip(ii, jj, dd):
@@ -186,11 +208,10 @@ def step_distance_row(row, i, j, delta_scaled):
 
 def _evolve_rows_directly(config):
     """Distance rows via the direct row update, replaying the same stream."""
-    rng = np.random.default_rng(config.seed)
     n = config.n_particles
     root = math.sqrt(n)
     total = config.resolved_burn_in + config.steps
-    ii, jj, dd = _draw(rng, n, config.offsets, total)
+    ii, jj, dd = _stream(config.seed, n, config.offsets, total)
     row = np.zeros(n - 1)
     rows = [row]
     for i, j, d in zip(ii, jj, dd):
@@ -298,28 +319,44 @@ def test_trajectory_observable_names():
         trajectory.observable("velocities")
 
 
-def _replay_in_chunks(config, chunk):
-    """Frames of ``config`` by a straight-line replay that draws the move
-    stream in batches of ``chunk`` steps."""
-    rng = np.random.default_rng(config.seed)
+def test_centred_run_refuses_the_raw_observable():
+    config = simulator.SimConfig(
+        n_particles=3, offsets=offsets.gaussian(1.0), steps=5, burn_in=0, seed=1, thin=1
+    )
+    trajectory = simulator.run(config, centred=True)
+    assert trajectory.observable("distances").shape == (6, 2)
+    with pytest.raises(ValueError, match="raw"):
+        trajectory.observable("raw")
+
+
+def _replay(config, block=None):
+    """Times and frames of ``config`` by a straight-line replay that applies
+    every move of the block stream, with blocks of ``block`` moves. Also, per
+    frame, the most additions on any particle's lineage since step 0, and the
+    largest |x| the replay wrote."""
     n = config.n_particles
     burn_in = config.resolved_burn_in
-    total = burn_in + config.steps
-    x = [0.0] * n
-    moves = []
-    for start in range(0, total, chunk):
-        ii, jj, dd = _draw(rng, n, config.offsets, min(chunk, total - start))
-        moves.extend(zip(ii.tolist(), jj.tolist(), dd.tolist()))
-    times = list(range(burn_in, total + 1, config.thin))
-    frames = [list(x)] if 0 in times else []
-    for t, (i, j, d) in enumerate(moves, start=1):
-        x[i] = x[j] + d
-        if t in times:
-            frames.append(list(x))
-    return np.asarray(times), np.asarray(frames).reshape(len(times), n)
+    times = list(range(burn_in, burn_in + config.steps + 1, config.thin))
+    x = _initial(config)
+    depth = [0] * n
+    top = max(map(abs, x))
+    ii, jj, dd = (v.tolist() for v in _stream(config.seed, n, config.offsets, times[-1], block))
+    frames, depths = [], []
+    a = 0
+    for b in times:
+        for i, j, d in zip(ii[a:b], jj[a:b], dd[a:b]):
+            x[i] = v = x[j] + d
+            depth[i] = depth[j] + 1
+            if abs(v) > top:
+                top = abs(v)
+        frames.append(list(x))
+        depths.append(max(depth))
+        a = b
+    return np.asarray(times), np.asarray(frames).reshape(len(times), n), depths, top
 
 
 def _replay_case(burn_in, steps, thin, n=4, chunk=5, short=None):
+    # chunk: the stream's block size, LINEAGE_BLOCK
     tail = "" if (n, chunk) == (4, 5) else f"-n{n}-chunk{chunk}"
     tail += f"-short{short}" if short else ""
     return pytest.param(
@@ -330,28 +367,28 @@ def _replay_case(burn_in, steps, thin, n=4, chunk=5, short=None):
 @pytest.mark.parametrize(
     "burn_in, steps, thin, n, chunk, short",
     [
-        _replay_case(10, 20, 5),  # every frame falls on a chunk boundary
-        _replay_case(3, 17, 4),  # frames fall inside chunks
+        _replay_case(10, 20, 5),  # every frame falls on a block seam
+        _replay_case(3, 17, 4),  # frames fall inside blocks
         _replay_case(0, 12, 1),  # the initial state is a frame, then every step
         _replay_case(0, 9, 7),  # a tail of steps after the last frame
         _replay_case(0, 0, 1),  # no steps at all
         _replay_case(7, 0, 3),  # burn-in only
         # gaps of at least n**2 moves, where only lineage moves are applied
-        _replay_case(64, 192, 64, 3, 64),  # every frame falls on a chunk boundary
-        _replay_case(10, 200, 30, 3, 64),  # frames fall inside chunks
-        _replay_case(100, 0, 1, 2, 64),  # burn-in only, across a chunk seam
+        _replay_case(64, 192, 64, 3, 64),  # every frame falls on a block seam
+        _replay_case(10, 200, 30, 3, 64),  # frames fall inside blocks
+        _replay_case(100, 0, 1, 2, 64),  # burn-in only, across a block seam
         _replay_case(0, 150, 70, 2, 64),  # a tail of steps after the last frame
         _replay_case(0, 0, 1, 2, 64),  # no steps at all
         _replay_case(100, 60, 2, 3, 64),  # a long burn-in, then gaps under n**2
         _replay_case(3, 252, 4, 2, 64),  # a burn-in of n**2 - 1, then gaps of n**2
         # gaps of at least short * n moves but under n**2, cut down by the
         # short-gap rule, with the lineages followed in numpy steps
-        _replay_case(0, 200, 20, 8, 64, short=2),  # frames fall inside chunks
+        _replay_case(0, 200, 20, 8, 64, short=2),  # frames fall inside blocks
         _replay_case(5, 300, 30, 6, 64, short=3),  # gaps under 3 n at the seams
     ],
 )
 def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin, n, chunk, short):
-    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    monkeypatch.setattr(simulator, "LINEAGE_BLOCK", chunk)
     monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
     if short:
         monkeypatch.setattr(simulator, "SHORT_GAP_PARTICLES", 2)
@@ -366,7 +403,7 @@ def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin, n, chunk,
         thin=thin,
     )
     trajectory = simulator.run(config)
-    times, frames = _replay_in_chunks(config, chunk)
+    times, frames, _, _ = _replay(config, chunk)
     np.testing.assert_array_equal(trajectory.times, times)
     np.testing.assert_array_equal(trajectory.positions, frames)
     assert trajectory.times.dtype == np.int64
@@ -374,9 +411,92 @@ def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin, n, chunk,
     if short:
         assert trajectory.moves_applied < times[-1]
     if burn_in + steps > chunk:
-        # the batch size is part of the stream: one unchunked draw differs
-        _, unchunked = _replay_in_chunks(config, burn_in + steps)
+        # the block size is part of the stream: one block of the whole run differs
+        _, unchunked, _, _ = _replay(config, burn_in + steps)
         assert not np.array_equal(trajectory.positions, unchunked)
+
+
+@pytest.mark.parametrize(
+    "n, kind, thin",
+    [(3, "gaussian", 40), (8, "uniform", 40), (64, "two_point", 4096)],
+)
+def test_raw_frames_do_not_depend_on_the_cut_rule_or_thin(monkeypatch, n, kind, thin):
+    # a move is a function of (seed, step) alone, so which gaps are cut, how
+    # often frames are taken and how long the run is change no raw frame
+    monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 64)
+    dist = offsets.OffsetDistribution(kind, 1.0)
+
+    def run(every, steps, min_particles, short_particles):
+        monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", min_particles)
+        monkeypatch.setattr(simulator, "SHORT_GAP_PARTICLES", short_particles)
+        config = simulator.SimConfig(n, dist, steps, burn_in=every, seed=5, thin=every)
+        return simulator.run(config)
+
+    steps = 12 * thin
+    whole = run(1, steps, 10**9, 10**9)  # every move applied, every step a frame
+    assert whole.moves_applied == steps + 1
+    frames = dict(zip(whole.times.tolist(), whole.positions))
+    for every, min_particles, short_particles in (
+        (thin, 2, 10**9), (thin, 2, 2), (3 * thin, 2, 2), (2 * thin, 10**9, 2),
+    ):
+        trajectory = run(every, steps - every, min_particles, short_particles)
+        for t, frame in zip(trajectory.times.tolist(), trajectory.positions):
+            np.testing.assert_array_equal(frame, frames[t])
+        cut = n >= min_particles and (
+            every >= n * n or (n >= short_particles and every >= simulator.SHORT_GAP * n)
+        )
+        assert (trajectory.moves_applied < steps) is cut
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "two_point"])
+@pytest.mark.parametrize("n", [64, 100, 256])
+def test_centred_frames_equal_the_full_loop_within_rounding(monkeypatch, n, kind):
+    # gaps of 4 n**2, so that most walks stop once one lineage is left, and
+    # small blocks, so that they stop soon after
+    monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 1024)
+    gap = 4 * n * n
+    config = simulator.SimConfig(
+        n_particles=n, offsets=offsets.OffsetDistribution(kind, 0.5), steps=2 * gap,
+        burn_in=gap, seed=17, thin=gap, init="iid_gaussian",
+    )
+    trajectory = simulator.run(config, centred=True)
+    assert trajectory.coalesced.all()
+    assert trajectory.moves_applied < simulator.run(config).moves_applied
+    _, frames, depths, top = _replay(config)
+    # A centred run's value is the full loop's plus a shift shared by its
+    # frame, up to rounding: the two add the same offsets, left to right, to
+    # values that differ by the shift, and each addition rounds by at most
+    # half an ulp. Every value either run writes is at most M = the full
+    # loop's largest |x| plus the largest shift (taken at twice that, as the
+    # shift is read off the frames). So a value at a frame whose lineages hold
+    # at most L additions since step 0 is off by at most L ulps of M. Each
+    # run's mean of n such values rounds by at most n ulps, and its
+    # subtraction by one, so a centred value differs by at most
+    # (2L + 2n + 4) ulps of M over sqrt(n), and a distance by twice that and
+    # the ulp of its own subtraction.
+    shift = max(abs(float(np.mean(c - f))) for c, f in zip(trajectory.positions, frames))
+    ulp = np.spacing(2 * (top + shift))
+    for centred, full, depth in zip(trajectory.positions, frames, depths):
+        tol = (2 * depth + 2 * n + 4) * ulp / math.sqrt(n)
+        got, want = simulator.renormalise(centred), simulator.renormalise(full)
+        assert np.abs(got - want).max() <= tol
+        gap_row = simulator.distance_row(got) - simulator.distance_row(want)
+        assert np.abs(gap_row).max() <= 2 * tol + ulp
+
+
+def test_centred_run_counts_coalesced_frames():
+    # at n = 64, the lineages of a frame coalesce within 6 n**2 moves with
+    # probability about 1 - 3 exp(-12)
+    gap = 6 * 64 * 64
+    config = simulator.SimConfig(
+        n_particles=64, offsets=offsets.gaussian(0.1), steps=4 * gap, burn_in=gap,
+        seed=3, thin=gap,
+    )
+    centred = simulator.run(config, centred=True)
+    assert centred.coalesced.tolist() == [True] * 5
+    raw = simulator.run(config)
+    assert not raw.coalesced.any()
+    np.testing.assert_allclose(centred.distance_rows(), raw.distance_rows(), atol=1e-12)
 
 
 def _backward_scan(ii, jj, a, b, n):
@@ -390,6 +510,17 @@ def _backward_scan(ii, jj, a, b, n):
             live.discard(ii[m])
             live.add(jj[m])
     return kept[::-1]
+
+
+def _walk(ii, jj, a, b, n, block):
+    """The moves in [a, b) that ``lineage_moves`` keeps, walking the gap back
+    ``block`` moves at a time from every particle at b."""
+    live = np.ones(n, dtype=bool)
+    kept = []
+    for hi in range(b, a, -block):
+        moves, live = simulator.lineage_moves(ii, jj, max(a, hi - block), hi, live)
+        kept.append(moves)
+    return np.concatenate(kept[::-1]) if kept else np.empty(0, dtype=np.intp)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 300, 2000])
@@ -408,10 +539,9 @@ def test_lineage_moves_equal_a_backward_scan(monkeypatch, n):
         for block in (1, 7, 1 << 16):
             if block == 1 and b - a > 4000:
                 continue  # a block per move: slow, and covered at the shorter gaps
-            monkeypatch.setattr(simulator, "LINEAGE_BLOCK", block)
             for width in widths:
                 monkeypatch.setattr(simulator, "FRONTIER_WIDTH", width)
-                kept = simulator.lineage_moves(ii, jj, a, b, n)
+                kept = _walk(ii, jj, a, b, n, block)
                 # equality, not a superset: every skipped write is really unread
                 assert kept.tolist() == expected, f"block {block}, width {width}"
         # the kept moves alone carry the state at a to the state at b
@@ -429,38 +559,38 @@ def test_lineage_moves_equal_a_backward_scan(monkeypatch, n):
     [
         (
             "gaussian", 5, 3000, 50, 7, "all_zero",
-            "49d98996ba7e705969eb578a89721cfe8730731c0fca677ff2f468469a7408dc",
+            "681aeb5da6c691b05612b395138e41a94a65d67230295b7eef020d5f85aa67c8",
         ),
         (
             "uniform", 7, 2000, 0, 3, "iid_uniform",
-            "9f70cd9943917bceb299a7cd68676212f4f0d521abe90889c555f50d8609ad03",
+            "498049c16889f90cf4c1513f3de0822d35317d310b37fe582e3c430940b778ab",
         ),
         (
             "two_point", 6, 2500, 100, 11, "iid_gaussian",
-            "8ab4540b4da70c304b86e5556904e2344052335e9ab3abff1d80f55f59e72fea",
+            "e33799690e07ad55a0ee739e8b5ffb94b7a06c51a69d63e56be1002215cdb427",
         ),
-        # longer than one draw batch, so the chunk seam is pinned too
+        # longer than one block, so the block seams are pinned too
         (
             "two_point", 50, 1_200_000, 0, 100_003, "all_zero",
-            "f1f8beceeef2a32c6003a7465186cd8d02dbf13dce5548d760c3fde55f8f2ea8",
+            "916381c034cf93ae2a8bc0c29f96d18927e327e605780e429a4e82e1448bce15",
         ),
-        # gaps of at least n**2 moves on both sides of the seam, so only
-        # lineage moves are applied; pinned from a run that applied them all
+        # gaps of at least n**2 moves across block seams, so only lineage
+        # moves are applied
         (
             "gaussian", 100, 1_300_000, 20_000, 250_001, "iid_gaussian",
-            "433d4c334be6b1236f0c33f3d643e83cccada59eced8f9f21d0f2d91409aa006",
+            "ca12b9919c0317ebd470b805faa313ad511297b26f20478e237bd8a7f6bf100b",
         ),
-        # n = 2**16: gaps of 10.7 n and 5.3 n before the seam and 5.4 n after
-        # it, far under n**2, so they are cut down only by the short-gap rule;
-        # pinned from a run that applied every move
+        # n = 2**16: gaps of 10.7 n, far under n**2, so they are cut down only
+        # by the short-gap rule
         (
             "uniform", 65_536, 1_400_002, 0, 700_001, "iid_uniform",
-            "455c34e58faeefe130d5b562473ed084a4c69a9f3ec2f50b283b8faee3071801",
+            "baccc709b1769ea4f2a22342d4a2564d57fc3d5dce433cfc1ad9839f4bac0630",
         ),
     ],
 )
 def test_run_trajectory_digest(kind, n, steps, burn_in, thin, init, digest):
-    # pins every bit of the recorded trajectories across engine changes
+    # pins every bit of the recorded trajectories across engine changes. Each
+    # digest was taken from ``_replay``, which applies every move
     config = simulator.SimConfig(
         n_particles=n,
         offsets=offsets.OffsetDistribution(kind, 0.1),
@@ -490,64 +620,44 @@ def _traced_peak(config):
     return trajectory, peak
 
 
-def test_run_memory_is_bounded_by_the_output(monkeypatch):
-    # long runs hold the recorded frames and a few draw batches, not Python
-    # objects per recorded value
-    chunk = 1 << 16
-    monkeypatch.setattr(simulator, "CHUNK", chunk)
-    # thin = 10 applies every move; thin = n**2 applies only lineage moves
-    for thin, n_frames in ((10, 20_001), (10_000, 21)):
+def test_run_memory_is_bounded_by_the_output():
+    # long runs hold the recorded frames and a few blocks, not Python objects
+    # per recorded value. thin = 10 applies every move; thin = n**2 applies
+    # only lineage moves; gaps of four blocks are walked back a block at a time
+    size = simulator.LINEAGE_BLOCK
+    for thin, steps, n_frames in (
+        (10, 200_000, 20_001), (10_000, 200_000, 21), (4 * size, 12 * size, 4),
+    ):
         config = simulator.SimConfig(
             n_particles=100,
             offsets=offsets.gaussian(0.1),
-            steps=200_000,
+            steps=steps,
             burn_in=0,
             seed=22,
             thin=thin,
         )
         trajectory, peak = _traced_peak(config)
         assert trajectory.n_frames == n_frames
-        # a draw holds about five batch-sized arrays at once: jumpers, targets,
-        # the shift mask and the offsets with their unscaled copy
-        budget = trajectory.positions.nbytes + 6 * chunk * 8
+        if thin >= 100 * 100:
+            assert trajectory.moves_applied < steps // 10
+        # a block takes 10 B a move. The worker holds one while the calling
+        # thread draws the next, whose int64 indices take 8 B a move more
+        budget = trajectory.positions.nbytes + 4 * size * 8
         assert peak < budget, f"thin={thin}: traced peak {peak} B over budget {budget} B"
-    # frames on the seams: every gap is a whole batch and is cut down. The
-    # worker applies only the kept moves, so it frees its batch before the
-    # next one's offsets are drawn, and two batches' offsets (16 B a move) are
-    # never alive at once, as they would be if the worker chased. The peak is
-    # one batch's offsets and indices (10 B a move) beside the chase's keys
-    # (8 B a move of a block, a quarter batch), or the draw's int64 indices.
-    chunk = 1 << 18
-    monkeypatch.setattr(simulator, "CHUNK", chunk)
-    config = simulator.SimConfig(
-        n_particles=100,
-        offsets=offsets.gaussian(0.1),
-        steps=3 * chunk,
-        burn_in=0,
-        seed=22,
-        thin=chunk,
-    )
-    trajectory, peak = _traced_peak(config)
-    assert trajectory.n_frames == 4
-    assert trajectory.moves_applied < chunk
-    budget = trajectory.positions.nbytes + 2 * chunk * 8
-    assert peak < budget, f"frames on the seams: traced peak {peak} B over budget {budget} B"
 
 
 def test_run_frees_a_cut_down_batch_while_the_worker_lags(monkeypatch):
-    # frames on the seams: every gap is a whole batch and is cut down, so the
-    # worker gets only the kept moves. With the worker held back, each batch
-    # must still be freed by the time the next one is drawn, whichever thread
-    # runs first.
-    chunk = 1 << 16
-    monkeypatch.setattr(simulator, "CHUNK", chunk)
+    # gaps of two blocks, each walked back on the worker thread, which is held
+    # back. The calling thread draws one block ahead of the chase, and each
+    # block must be freed by the time the one after next is drawn
+    size = simulator.LINEAGE_BLOCK
     caller = threading.current_thread()
-    gaps = simulator._gaps
+    chase = simulator.lineage_moves
 
-    def slow_gaps(frames, end):
+    def slow_chase(*args):
         if threading.current_thread() is not caller:
             time.sleep(0.05)
-        return gaps(frames, end)
+        return chase(*args)
 
     draw = simulator.draw_moves
     entries = []  # traced memory at each draw's entry
@@ -556,15 +666,15 @@ def test_run_frees_a_cut_down_batch_while_the_worker_lags(monkeypatch):
         entries.append(tracemalloc.get_traced_memory()[0])
         return draw(*args)
 
-    monkeypatch.setattr(simulator, "_gaps", slow_gaps)
+    monkeypatch.setattr(simulator, "lineage_moves", slow_chase)
     monkeypatch.setattr(simulator, "draw_moves", draw_moves)
     config = simulator.SimConfig(
         n_particles=100,
         offsets=offsets.gaussian(0.1),
-        steps=4 * chunk,
+        steps=8 * size,
         burn_in=0,
         seed=22,
-        thin=chunk,
+        thin=2 * size,
     )
     simulator.run(config)  # warm-up: one-time allocations stay out of the trace
     entries.clear()
@@ -574,11 +684,11 @@ def test_run_frees_a_cut_down_batch_while_the_worker_lags(monkeypatch):
     finally:
         tracemalloc.stop()
     assert trajectory.n_frames == 5
-    assert trajectory.moves_applied < chunk
-    assert len(entries) == 4
-    # a batch's indices and offsets take 10 B a move
+    assert trajectory.moves_applied < size
+    assert len(entries) == 8
+    # the block being chased takes 10 B a move
     growth = max(entries[1:]) - entries[0]
-    assert growth < 2 * chunk, f"{growth / chunk:.1f} B a move kept across draws"
+    assert growth < 12 * size, f"{growth / size:.1f} B a move kept across draws"
 
 
 @pytest.mark.parametrize(
@@ -613,7 +723,7 @@ def _failing_draws(monkeypatch, fail_at, make_error):
 
 
 def test_run_propagates_a_draw_failure_and_joins_the_worker(monkeypatch):
-    monkeypatch.setattr(simulator, "CHUNK", 5)
+    monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 5)
 
     def fail(_moves):
         raise RuntimeError("draw failed")
@@ -623,11 +733,14 @@ def test_run_propagates_a_draw_failure_and_joins_the_worker(monkeypatch):
         n_particles=4, offsets=offsets.gaussian(1.0), steps=20, burn_in=0, seed=3
     )
     before = threading.active_count()
+    interval = sys.getswitchinterval()
     with pytest.raises(RuntimeError, match="draw failed"):
         simulator.run(config)
-    # the first batch went to the worker before the second draw failed
+    # the first block went to the worker before the second draw failed
     assert len(calls) == 2
     assert threading.active_count() == before
+    # run lowers the switch interval only while its worker lives
+    assert sys.getswitchinterval() == interval
 
 
 def _bad_jumper(moves):
@@ -638,7 +751,7 @@ def _bad_jumper(moves):
 
 
 def test_run_propagates_a_worker_failure(monkeypatch):
-    monkeypatch.setattr(simulator, "CHUNK", 5)
+    monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 5)
     _failing_draws(monkeypatch, 2, _bad_jumper)
     config = simulator.SimConfig(
         n_particles=4, offsets=offsets.gaussian(1.0), steps=30, burn_in=0, seed=3
@@ -650,8 +763,8 @@ def test_run_propagates_a_worker_failure(monkeypatch):
 
 
 def test_run_propagates_a_worker_failure_in_the_last_batch(monkeypatch):
-    # no later batch reads the failure: the run must still raise it
-    monkeypatch.setattr(simulator, "CHUNK", 5)
+    # no later block reads the failure: the run must still raise it
+    monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 5)
     calls = _failing_draws(monkeypatch, 6, _bad_jumper)
     config = simulator.SimConfig(
         n_particles=4, offsets=offsets.gaussian(1.0), steps=30, burn_in=0, seed=3
@@ -663,13 +776,13 @@ def test_run_propagates_a_worker_failure_in_the_last_batch(monkeypatch):
     assert threading.active_count() == before
 
 
-def _chased_config(monkeypatch):
-    """Batches of 64 moves with frames 16 apart at n = 3, so that every gap is
-    cut down to its lineage moves on the worker thread."""
-    monkeypatch.setattr(simulator, "CHUNK", 64)
+def _chased_config(monkeypatch, thin=16):
+    """Blocks of 64 moves with frames ``thin`` apart at n = 3, so that every
+    gap is cut down to its lineage moves on the worker thread."""
+    monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 64)
     monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
     return simulator.SimConfig(
-        n_particles=3, offsets=offsets.gaussian(1.0), steps=320, burn_in=0, seed=3, thin=16
+        n_particles=3, offsets=offsets.gaussian(1.0), steps=320, burn_in=0, seed=3, thin=thin
     )
 
 
@@ -680,7 +793,7 @@ def test_run_propagates_a_chase_failure(monkeypatch):
 
     def lineage_moves(*args):
         calls.append(None)
-        if len(calls) == 6:  # in the second batch, with a worker started
+        if len(calls) == 6:  # in the sixth gap, with a worker started
             raise RuntimeError("chase failed")
         return chase(*args)
 
@@ -694,7 +807,8 @@ def test_run_propagates_a_chase_failure(monkeypatch):
 
 
 def test_run_joins_the_chase_when_the_offset_draw_fails(monkeypatch):
-    config = _chased_config(monkeypatch)
+    # gaps of two blocks: the block before is drawn while the last is chased
+    config = _chased_config(monkeypatch, thin=128)
     chase = simulator.lineage_moves
     started, finished = threading.Event(), []
 
@@ -704,8 +818,13 @@ def test_run_joins_the_chase_when_the_offset_draw_fails(monkeypatch):
         finished.append(None)
         return chase(*args)
 
+    draw, draws = offsets.OffsetDistribution.sample, []
+
     def sample(self, rng, size):
-        # the chase of this batch is running while the draw fails
+        draws.append(None)
+        if len(draws) == 1:
+            return draw(self, rng, size)  # the last block, drawn before any chase
+        # the chase of the block after this one is running while the draw fails
         assert started.wait(10)
         raise RuntimeError("offsets failed")
 
@@ -720,9 +839,9 @@ def test_run_joins_the_chase_when_the_offset_draw_fails(monkeypatch):
 
 
 def test_run_leaves_no_thread_behind(monkeypatch):
-    # hundreds of batch hand-offs under a very short switch interval: a frame
+    # hundreds of block hand-offs under a very short switch interval: a frame
     # recorded or a move applied out of turn would break the replay
-    monkeypatch.setattr(simulator, "CHUNK", 7)
+    monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 7)
     config = simulator.SimConfig(
         n_particles=5, offsets=offsets.two_point(0.1), steps=3000, burn_in=3, seed=4, thin=9
     )
@@ -734,10 +853,10 @@ def test_run_leaves_no_thread_behind(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
-    _, frames = _replay_in_chunks(config, 7)
+    _, frames, _, _ = _replay(config, 7)
     np.testing.assert_array_equal(trajectory.positions, frames)
     # the same at n = 2, where most gaps are cut down, each chase queued on
-    # the worker behind the previous batch's moves
+    # the worker behind the previous gap's moves
     monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
     chase = simulator.lineage_moves
     chasers = []
@@ -760,5 +879,5 @@ def test_run_leaves_no_thread_behind(monkeypatch):
     # every chase ran on the one worker thread, none on the caller's
     assert len(set(chasers)) == 1
     assert chasers[0] is not threading.current_thread()
-    _, frames = _replay_in_chunks(config, 7)
+    _, frames, _, _ = _replay(config, 7)
     np.testing.assert_array_equal(trajectory.positions, frames)

@@ -100,6 +100,29 @@ def test_traced_cli_run_records_hook_attributes(tmp_path, argv, spans, nested):
                 assert parent is not None and recorded[parent]["name"] == outer, name
 
 
+def test_centred_chain_draws_only_the_blocks_its_walks_reach(monkeypatch):
+    # the chain-n100 workload's run: five frames 2.5M moves apart at n = 100,
+    # whose lineages coalesce within about n**2 moves. A walk draws the block
+    # of its frame and, rarely, one or two before it; a change that drew
+    # whole gaps again would draw 39 blocks a frame
+    from turnover import offsets, simulator
+
+    draw, calls = simulator.draw_moves, []
+
+    def draw_moves(*args):
+        calls.append(None)
+        return draw(*args)
+
+    monkeypatch.setattr(simulator, "draw_moves", draw_moves)
+    config = simulator.SimConfig(
+        n_particles=100, offsets=offsets.gaussian(0.1), steps=10_000_000,
+        burn_in=10_000, seed=3, thin=2_500_000,
+    )
+    trajectory = simulator.run(config, centred=True)
+    assert trajectory.n_frames == 5
+    assert len(calls) <= 3 * trajectory.n_frames
+
+
 def test_cli_import_leaves_the_executor_unloaded():
     # concurrent.futures pulls in logging; `simulator.run` imports it itself,
     # so neither the other commands nor the benchmark's setup_s pay for it
