@@ -6,14 +6,13 @@ from .charfn import (
     ResourceLimitError,
     distance_cf,
     distance_cf_limit,
-    distance_pair_cf_three,
     distance_pdf,
     distances_joint_cf,
     distances_joint_cf_limit,
+    laplace_cdf,
     laplace_pdf,
     particle_cf,
     particle_cf_limit,
-    particle_cf_three,
 )
 from .empirical import (
     EmpiricalSummary,
@@ -22,7 +21,6 @@ from .empirical import (
     empirical_cf,
     kde,
     ks_laplace,
-    laplace_cdf,
     summarize,
 )
 from .moments import (
@@ -57,7 +55,6 @@ __all__ = [
     "build_phi_table",
     "distance_cf",
     "distance_cf_limit",
-    "distance_pair_cf_three",
     "distance_pdf",
     "distance_row",
     "distances_joint_cf",
@@ -71,7 +68,6 @@ __all__ = [
     "laplace_pdf",
     "particle_cf",
     "particle_cf_limit",
-    "particle_cf_three",
     "partitions",
     "phi_base",
     "prune",

@@ -1,5 +1,9 @@
 """Characteristic functions and densities of the stationary laws.
 
+Every analytic law of the package lives here: the exact finite-n and limit
+CFs, the gaussian distance density, and the Laplace law that is the
+large-population limit of a distance (its CF, density and CDF).
+
 The one-distance CF has the closed form
 
     psi(s) = xi(s/sqrt(n)) / (n - 1 - (n - 2) * xi(s/sqrt(n))),
@@ -66,6 +70,22 @@ def laplace_pdf(y, sigma: float):
     check_scale(sigma, "sigma")
     c = math.sqrt(2.0) / sigma
     return 0.5 * c * np.exp(-c * np.abs(np.asarray(y, dtype=float)))
+
+
+def laplace_cdf(x, sigma: float):
+    """CDF of the centred Laplace law with variance sigma^2 (scale sigma/sqrt(2))."""
+    check_scale(sigma, "sigma")
+    b = sigma / math.sqrt(2.0)
+    x = np.asarray(x, dtype=float)
+    # 0.5 * exp(-|x|/b) in one buffer: it is the lower tail, 0.5 * exp(x/b),
+    # for x < 0, and no exponent is positive, so nothing overflows
+    cdf = np.abs(x, out=np.empty_like(x))
+    cdf /= -b
+    np.exp(cdf, out=cdf)
+    cdf *= 0.5
+    # the upper tail; a NaN stays NaN either way
+    np.subtract(1.0, cdf, out=cdf, where=x >= 0)
+    return cdf
 
 
 def check_eps(eps, name: str) -> None:
@@ -409,29 +429,3 @@ def particle_cf_limit(
     coords = _diagonal(s, n_particles)
     return distances_joint_cf_limit(coords, sigma, cap=n_particles)
 
-
-# -- closed forms for the three-particle ensemble ---------------------------
-
-
-def distance_pair_cf_three(s1: float, s2: float, offsets: OffsetDistribution) -> float:
-    """Closed form of the joint CF of the two distances when n=3."""
-    def xi(v: float) -> float:
-        return offsets.cf_scaled(v, 3)
-
-    def psi(v: float) -> float:
-        x = xi(v)
-        return x / (2.0 - x)
-
-    s1, s2 = float(s1), float(s2)
-    val = (
-        psi(s1) * (xi(s2) + xi(s1 + s2))
-        + psi(s2) * (xi(s1) + xi(s1 + s2))
-        + psi(s1 + s2) * (xi(s1) + xi(s2))
-    ) / 6.0
-    return _check_cf(val)
-
-
-def particle_cf_three(s: float, offsets: OffsetDistribution) -> float:
-    """Closed form of the single-particle CF when n=3: the diagonal
-    (s/3, s/3) of the pair CF."""
-    return distance_pair_cf_three(s / 3.0, s / 3.0, offsets)

@@ -1,9 +1,10 @@
-"""Time-averaged empirical statistics of recorded trajectories.
+"""Statistics of samples: time averages over recorded trajectories.
 
 Every entry of every recorded frame counts as one sample (time and particle
 averaging). Raw moments are plain means of the sample powers (numpy's
 pairwise sums); standard errors of time averages are estimated by batch means
-over frames, which absorbs the autocorrelation of the chain.
+over frames, which absorbs the autocorrelation of the chain. The analytic
+laws the samples are judged against live in ``charfn``.
 
 ``summarize`` runs on two threads. One executor thread forms the sample
 powers and the sines and cosines of the ECF and returns their sums and
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .charfn import laplace_cdf
 from .offsets import check_count, check_scale
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -43,10 +45,34 @@ def _powers(samples: np.ndarray, max_order: int):
         yield power
 
 
+def _moment_sums(frames: np.ndarray, max_order: int) -> list:
+    """One (M_j, per-frame mean of x**j) pair for each order j = 1..max_order
+    of a (n_frames, width) array."""
+    return [
+        (float(p.sum()) / frames.size, p.mean(axis=1)) for p in _powers(frames, max_order)
+    ]
+
+
+def _ecf_sums(frames: np.ndarray, ecf_points) -> list:
+    """One ((s, mean cos(s x), mean sin(s x)), per-frame mean of cos(s x))
+    pair for each s, over a (n_frames, width) array."""
+    sx = np.empty_like(frames)
+    sines = np.empty_like(frames)
+    cosines = []
+    for s in ecf_points:
+        # s*x serves the sine, then holds the cosines for the ECF and its
+        # SE series
+        np.multiply(s, frames, out=sx)
+        sin_mean = float(np.sin(sx, out=sines).ravel().mean())
+        np.cos(sx, out=sx)
+        cosines.append(((float(s), float(sx.mean()), sin_mean), sx.mean(axis=1)))
+    return cosines
+
+
 def accumulate_moments(samples: np.ndarray, max_order: int) -> np.ndarray:
     """Raw moments M_j = mean(x**j), j = 1..max_order, of a sample array."""
-    x = np.asarray(samples, dtype=float).ravel()
-    return np.array([float(p.sum()) / x.size for p in _powers(x, max_order)])
+    x = np.asarray(samples, dtype=float).reshape(1, -1)
+    return np.array([m for m, _ in _moment_sums(x, max_order)])
 
 
 def kde(samples: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.ndarray:
@@ -87,27 +113,11 @@ def kde(samples: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.ndarray:
 
 def empirical_cf(samples: np.ndarray, s: float) -> tuple[float, float]:
     """Empirical characteristic function at s: (mean cos(s x), mean sin(s x))."""
-    x = np.asarray(samples, dtype=float).ravel()
+    x = np.asarray(samples, dtype=float).reshape(1, -1)
     if x.size == 0:
         raise ValueError("empirical_cf needs at least one sample")
-    sx = s * x
-    return float(np.cos(sx).mean()), float(np.sin(sx).mean())
-
-
-def laplace_cdf(x, sigma: float):
-    """CDF of the centred Laplace law with variance sigma^2 (scale sigma/sqrt(2))."""
-    check_scale(sigma, "sigma")
-    b = sigma / math.sqrt(2.0)
-    x = np.asarray(x, dtype=float)
-    # 0.5 * exp(-|x|/b) in one buffer: it is the lower tail, 0.5 * exp(x/b),
-    # for x < 0, and no exponent is positive, so nothing overflows
-    cdf = np.abs(x, out=np.empty_like(x))
-    cdf /= -b
-    np.exp(cdf, out=cdf)
-    cdf *= 0.5
-    # the upper tail; a NaN stays NaN either way
-    np.subtract(1.0, cdf, out=cdf, where=x >= 0)
-    return cdf
+    [((_, re, im), _)] = _ecf_sums(x, (s,))
+    return re, im
 
 
 def ks_laplace(samples: np.ndarray, sigma: float) -> float:
@@ -219,30 +229,15 @@ class EmpiricalSummary:
 
 
 def _frame_sums(frames: np.ndarray, max_order: int, ecf_points) -> tuple[list, list]:
-    """The moment and ECF halves of ``summarize``, with their per-frame series.
+    """The moment and ECF halves of ``summarize``, with their per-frame series:
+    the sums that ``accumulate_moments`` and ``empirical_cf`` take of one frame.
 
-    Returns ``(moments, cosines)``: one (moment, per-frame mean) pair for each
-    order 1..max_order, and one ((s, re, im), per-frame mean of cos(s x))
-    pair for each s. It runs on summarize's worker thread, so it calls nothing
-    that the benchmark's tracer wraps: the tracer keeps one span stack for the
-    process, and a traced call from here would nest in whatever span the
-    calling thread has open.
+    It runs on summarize's worker thread, so it calls nothing that the
+    benchmark's tracer wraps: the tracer keeps one span stack for the process,
+    and a traced call from here would nest in whatever span the calling thread
+    has open.
     """
-    # each power serves its moment (as accumulate_moments) and its SE series
-    moments = [
-        (float(p.sum()) / frames.size, p.mean(axis=1)) for p in _powers(frames, max_order)
-    ]
-    sx = np.empty_like(frames)
-    sines = np.empty_like(frames)
-    cosines = []
-    for s in ecf_points:
-        # s*x serves the sine, then holds the cosines for the ECF (as
-        # empirical_cf) and its SE series
-        np.multiply(s, frames, out=sx)
-        sin_mean = float(np.sin(sx, out=sines).ravel().mean())
-        np.cos(sx, out=sx)
-        cosines.append(((float(s), float(sx.mean()), sin_mean), sx.mean(axis=1)))
-    return moments, cosines
+    return _moment_sums(frames, max_order), _ecf_sums(frames, ecf_points)
 
 
 def summarize(

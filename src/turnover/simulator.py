@@ -56,10 +56,9 @@ from .offsets import OffsetDistribution, check_count, check_scale
 LINEAGE_BLOCK = 1 << 16
 
 # Fewest particles at which ``run`` applies only lineage moves, on gaps of at
-# least n**2. Finding a lineage move one lineage at a time, as at these n,
-# costs about ten plain applications, and with fewer particles a gap keeps
-# too many of them: the full loop is faster on gaps near n**2, and for
-# n <= 16 on every gap.
+# least n**2. On the block stream the full loop is faster on gaps near n**2
+# at 64 <= n < 256, and a centred run's long gaps would gain from a cut below
+# 64 (README "Notes on determinism"); no benchmark workload runs either.
 LINEAGE_MIN_PARTICLES = 64
 
 # Fewest particles at which ``run`` also cuts gaps shorter than n**2: from
@@ -391,10 +390,10 @@ def run(config: SimConfig, centred: bool = False) -> Trajectory:
             drawn[k] = ii, jj, config.offsets.sample(rng, size)
         return drawn[k]
 
-    def forward(moves, lo: int, hi: int, base: int, frames: range) -> None:
-        # moves lo..hi-1 of the block that starts at move `base`, recording
-        # the frames that fall among them. memoryviews hand out Python ints
-        # and floats one at a time, which is faster than tolist()
+    def forward(moves, lo: int, hi: int, base: int = 0, frames: range = range(0)) -> None:
+        # moves lo..hi-1 of a block that starts at move `base`, or of a walk's
+        # kept moves, recording the frames that fall among them. memoryviews
+        # hand out Python ints and floats one at a time, faster than tolist()
         views = [memoryview(v) for v in moves]
         for f in [*frames, None]:
             b = hi if f is None else schedule[f] - base
@@ -410,8 +409,7 @@ def run(config: SimConfig, centred: bool = False) -> Trajectory:
 
     def apply(pieces: list, f: int) -> None:
         for piece in reversed(pieces):
-            for i, j, d in zip(*map(memoryview, piece)):
-                x[i] = x[j] + d
+            forward(piece, 0, len(piece[0]))
         positions[f] = x
 
     applied = 0

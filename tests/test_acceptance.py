@@ -17,6 +17,8 @@ import pytest
 from turnover import charfn, empirical, moments, offsets, simulator
 from turnover.cli import main as cli_main
 
+from closed_forms import distance_pair_cf_three, particle_cf_three
+
 SIGMA = 0.1
 GAUSS = offsets.gaussian(SIGMA)
 GRID = np.linspace(-50.0, 50.0, 101)
@@ -189,12 +191,12 @@ def test_criterion_06_cf_identity_suite():
     worst["pair_vs_closed"] = max(
         abs(
             charfn.distances_joint_cf((s1, s2), 3, GAUSS)
-            - charfn.distance_pair_cf_three(s1, s2, GAUSS)
+            - distance_pair_cf_three(s1, s2, GAUSS)
         )
         for s1, s2 in pairs
     )
     worst["diag3_vs_closed"] = max(
-        abs(charfn.particle_cf(s, 3, GAUSS) - charfn.particle_cf_three(s, GAUSS))
+        abs(charfn.particle_cf(s, 3, GAUSS) - particle_cf_three(s, GAUSS))
         for s in GRID
     )
     worst["limit_k1"] = max(
@@ -320,7 +322,7 @@ def _lattice_ks_laplace(pmf: np.ndarray, n: int) -> float:
     sup is taken at an atom, from the right or from the left."""
     atoms = (np.arange(LATTICE_ANGLES) - LATTICE_ANGLES // 2) * SIGMA / math.sqrt(n)
     cdf = np.cumsum(pmf)
-    ref = empirical.laplace_cdf(atoms, SIGMA)
+    ref = charfn.laplace_cdf(atoms, SIGMA)
     return float(max(np.abs(cdf - ref).max(), np.abs(cdf - pmf - ref).max()))
 
 

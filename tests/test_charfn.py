@@ -12,6 +12,8 @@ from scipy.integrate import quad
 from turnover import charfn, offsets, simulator
 from turnover.empirical import batch_means_se
 
+from closed_forms import distance_pair_cf_three, particle_cf_three
+
 SIGMA = 0.1
 GAUSS = offsets.gaussian(SIGMA)
 GRID = np.linspace(-50.0, 50.0, 101)
@@ -81,6 +83,21 @@ def test_laplace_pdf_values_and_quadrature():
     assert total == pytest.approx(1.0, abs=1e-9)
     second, _ = quad(lambda y: y * y * charfn.laplace_pdf(y, SIGMA), -3, 3, limit=200)
     assert second == pytest.approx(SIGMA**2, abs=1e-6)
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 3.0])
+def test_laplace_cdf_integrates_laplace_pdf(sigma):
+    def pdf(y):
+        return float(charfn.laplace_pdf(y, sigma))
+
+    tight = dict(epsabs=1e-14, epsrel=1e-14)
+    for x in (0.0, 0.3 * sigma, -0.3 * sigma, 6 * sigma, -6 * sigma):
+        # split at the density's kink at 0, where quad's rule loses digits
+        area = quad(pdf, -math.inf, min(x, 0.0), **tight)[0]
+        if x > 0:
+            area += quad(pdf, 0.0, x, **tight)[0]
+        assert abs(charfn.laplace_cdf(x, sigma) - area) < 1e-12, x
+    assert charfn.laplace_cdf(0.0, sigma) == 0.5
 
 
 def test_distance_pdf_mass_and_fourier_oracle():
@@ -214,7 +231,7 @@ def test_lattice_grids_match_pinned_digest():
 def test_general_pair_grid_matches_three_particle_closed_form():
     grid = _pair_grid(50.0, 21)
     values = charfn.distances_joint_cf(grid, 3, GAUSS)
-    closed = [charfn.distance_pair_cf_three(s1, s2, GAUSS) for s1, s2 in grid.T]
+    closed = [distance_pair_cf_three(s1, s2, GAUSS) for s1, s2 in grid.T]
     assert np.abs(values - closed).max() < 1e-12
 
 
@@ -321,7 +338,7 @@ def test_joint_cf_three_particles_matches_closed_form():
         s1, s2 = rng.uniform(-50, 50, 2)
         assert abs(
             charfn.distances_joint_cf((s1, s2), 3, GAUSS)
-            - charfn.distance_pair_cf_three(s1, s2, GAUSS)
+            - distance_pair_cf_three(s1, s2, GAUSS)
         ) < 1e-12
 
 
@@ -449,7 +466,7 @@ def test_particle_cf_two_particles_closed_form():
 def test_particle_cf_three_particles_closed_form():
     for s in GRID:
         assert abs(
-            charfn.particle_cf(s, 3, GAUSS) - charfn.particle_cf_three(s, GAUSS)
+            charfn.particle_cf(s, 3, GAUSS) - particle_cf_three(s, GAUSS)
         ) < 1e-12
     assert charfn.particle_cf(0.0, 3, GAUSS) == 1.0
 

@@ -12,6 +12,8 @@ from turnover import charfn, cli, offsets
 from turnover.cli import main
 from turnover.moments import build_phi_table
 
+from closed_forms import particle_cf_three
+
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
@@ -107,7 +109,7 @@ def test_cf_phi_n_matches_closed_form(tmp_path):
     assert data["mode"] == "phiN" and data["n"] == 3
     dist = offsets.gaussian(0.1)
     for point in data["points"]:
-        assert abs(point["value"] - charfn.particle_cf_three(point["s"], dist)) < 1e-12
+        assert abs(point["value"] - particle_cf_three(point["s"], dist)) < 1e-12
 
 
 def test_cf_gamma_cauchy_decrease(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from turnover import empirical
+from turnover import charfn, empirical
 
 
 def test_moments_of_constant_samples():
@@ -159,7 +159,7 @@ def test_laplace_cdf_equals_the_two_branch_formula(sigma):
         two_branch = np.where(x < 0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
     # only exponents <= 0 are formed, so nothing overflows
     with np.errstate(over="raise"):
-        cdf = empirical.laplace_cdf(x, sigma)
+        cdf = charfn.laplace_cdf(x, sigma)
     np.testing.assert_array_equal(cdf, two_branch)
     assert cdf[0] == cdf[1] == 0.5
     assert cdf[2] == 1.0 and cdf[3] == 0.0 and math.isnan(cdf[4])

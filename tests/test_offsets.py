@@ -160,7 +160,7 @@ SCALED = {
     "OffsetDistribution": lambda v: offsets.OffsetDistribution("gaussian", v),
     "distance_cf_limit": lambda v: charfn.distance_cf_limit(1.0, v),
     "laplace_pdf": lambda v: charfn.laplace_pdf(0.0, v),
-    "laplace_cdf": lambda v: empirical.laplace_cdf([-1.0, 0.0, 1.0], v),
+    "laplace_cdf": lambda v: charfn.laplace_cdf([-1.0, 0.0, 1.0], v),
     "distance_pdf": lambda v: charfn.distance_pdf(0.0, 10, v),
     "distances_joint_cf_limit": lambda v: charfn.distances_joint_cf_limit((1.0, 2.0), v),
     "particle_cf_limit": lambda v: charfn.particle_cf_limit(1.0, 5, v),

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,30 @@ def test_centred_chain_draws_only_the_blocks_its_walks_reach(monkeypatch):
     trajectory = simulator.run(config, centred=True)
     assert trajectory.n_frames == 5
     assert len(calls) <= 3 * trajectory.n_frames
+
+
+def test_summarize_calls_traced_names_on_the_calling_thread(monkeypatch):
+    # the tracer keeps one span stack for the process, so a traced name that
+    # summarize's worker called would nest in whatever span this thread has
+    # open; the worker's sums must reach none of them
+    import numpy as np
+
+    from turnover import empirical
+
+    threads = {}
+    for mod_name, name in tracer.SPAN_TARGETS:
+        if mod_name == "turnover.empirical":
+            fn = getattr(empirical, name)
+
+            def traced(*args, fn=fn, name=name, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(empirical, name, traced)
+    frames = np.random.default_rng(0).laplace(0.0, 0.1, (40, 9))
+    empirical.summarize(frames, 0.1)
+    assert {"kde", "ks_laplace", "batch_means_se"} <= set(threads)
+    assert all(idents == {threading.get_ident()} for idents in threads.values()), threads
 
 
 def test_cli_import_leaves_the_executor_unloaded():
