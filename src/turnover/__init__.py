@@ -28,7 +28,6 @@ from .moments import (
     build_phi_table,
     partitions,
     phi_base,
-    prune,
 )
 from .offsets import OffsetDistribution, gaussian, two_point, uniform
 from .simulator import (
@@ -70,7 +69,6 @@ __all__ = [
     "particle_cf_limit",
     "partitions",
     "phi_base",
-    "prune",
     "renormalise",
     "run",
     "summarize",

@@ -73,7 +73,9 @@ def laplace_pdf(y, sigma: float):
 
 
 def laplace_cdf(x, sigma: float):
-    """CDF of the centred Laplace law with variance sigma^2 (scale sigma/sqrt(2))."""
+    """CDF of the centred Laplace law with variance sigma^2 (scale sigma/sqrt(2)).
+
+    Accepts a scalar or an array; a scalar gives a numpy float64."""
     check_scale(sigma, "sigma")
     b = sigma / math.sqrt(2.0)
     x = np.asarray(x, dtype=float)
@@ -85,7 +87,7 @@ def laplace_cdf(x, sigma: float):
     cdf *= 0.5
     # the upper tail; a NaN stays NaN either way
     np.subtract(1.0, cdf, out=cdf, where=x >= 0)
-    return cdf
+    return cdf[()]
 
 
 def check_eps(eps, name: str) -> None:

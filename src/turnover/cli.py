@@ -1,8 +1,8 @@
 """Command-line front end: simulation runs, exact moment tables, CF grids and
 empirical-vs-analytic comparison reports, all as plot-ready CSV/JSON.
 
-Every command writes a run manifest next to its outputs (config echo, seed,
-code version, python / numpy / platform versions, timestamps, content
+Every command writes a run manifest next to its outputs (the parsed flags,
+seed, code version, python / numpy / platform versions, timestamps, content
 digests; for ``simulate`` also the wall time of each phase and the peak
 RSS). Payload files themselves carry no timestamps, so rerunning a
 command with the same flags and seed reproduces them byte for byte. JSON is
@@ -42,8 +42,8 @@ from .charfn import (
 )
 from .empirical import EmpiricalSummary, summarize
 from .moments import build_phi_table, phi_base
-from .offsets import OffsetDistribution, check_count, check_scale, from_name
-from .simulator import SimConfig, run
+from .offsets import KINDS, OffsetDistribution, check_count, check_scale, from_name
+from .simulator import INIT_KINDS, SimConfig, run
 
 OUT_DIR_ENV = "TURNOVER_OUT_DIR"
 
@@ -64,10 +64,9 @@ ORDER_LIMIT = 60
 
 
 # What a command hands back to ``main``, which writes the manifest and prints
-# the first output path: (output paths, config echo, exit status,
-# manifest-only entries such as timings, which stay out of the payloads).
-# The manifest's seed is the config echo's ``seed``, null where it has none.
-CommandResult = tuple[list[str], dict, int, dict]
+# the first output path: (output paths, exit status, manifest-only entries
+# such as timings, which stay out of the payloads).
+CommandResult = tuple[list[str], int, dict]
 
 
 def _resolve(path: str) -> str:
@@ -155,6 +154,13 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return values
 
 
+def _check_tolerance(value: float, name: str) -> None:
+    """Raise ``ValueError`` unless ``value``, a verdict's threshold, is finite
+    and at least 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _parse_tols(text: str) -> dict[int, float]:
     tols = dict(DEFAULT_MOMENT_TOL)
     if not text:
@@ -167,8 +173,8 @@ def _parse_tols(text: str) -> dict[int, float]:
             order, tol = int(order), float(tol)
         except ValueError as exc:
             raise ValueError(f"bad tolerance item {item!r}: {exc}") from None
-        if not (math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"bad tolerance item {item!r}: tolerances must be finite and >= 0")
+        check_count(order, 1, f"the order of --moment-tol item {item!r}")
+        _check_tolerance(tol, f"the tolerance of --moment-tol item {item!r}")
         tols[order] = tol
     return tols
 
@@ -262,7 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
         "frames_coalesced": int(trajectory.coalesced.sum()),
         "burn_in_coalesced": bool(trajectory.coalesced[0]),
     }
-    return outputs, summary.config, 0, {"phases": phases}
+    return outputs, 0, {"phases": phases}
 
 
 # ---------------------------------------------------------------------- moments
@@ -310,8 +316,7 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
                 ],
             },
         )
-    config = {"max_order": args.max_order, "sigma": args.sigma, "format": args.format}
-    return [out], config, 0, {"phases": phases}
+    return [out], 0, {"phases": phases}
 
 
 # ---------------------------------------------------------------------- cf
@@ -376,17 +381,7 @@ def cmd_cf(args: argparse.Namespace) -> CommandResult:
         )
     else:
         _write_csv(out, "s,value", ([_fmt(s), _fmt(v)] for s, v in pairs))
-    config = {
-        "mode": mode,
-        "n": args.n,
-        "k": args.k,
-        "sigma": sigma,
-        "offset": args.offset,
-        "grid": args.grid,
-        "eps": args.eps,
-        "cap": args.cap,
-    }
-    return [out], config, 0, {}
+    return [out], 0, {}
 
 
 # ---------------------------------------------------------------------- compare
@@ -433,10 +428,7 @@ def _verdict(estimate, se, reference, reference_se, band=None):
 
 def cmd_compare(args: argparse.Namespace) -> CommandResult:
     check_count(args.max_order, 1, "--max-order")
-    if not (math.isfinite(args.ks_threshold) and args.ks_threshold >= 0):
-        raise ValueError(
-            f"--ks-threshold must be finite and >= 0, got {args.ks_threshold!r}"
-        )
+    _check_tolerance(args.ks_threshold, "--ks-threshold")
     check_eps(args.eps, "--eps")
     summary = _read_summary(args.summary)
     cfg = summary.config
@@ -533,14 +525,7 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
     }
     out = _resolve(args.out)
     _write_json(out, report)
-    config = {
-        "summary": args.summary,
-        "baseline": args.baseline,
-        "sigma": sigma,
-        "n": n,
-        "ks_threshold": args.ks_threshold,
-    }
-    return [out], config, 0 if all_pass else 1, {}
+    return [out], 0 if all_pass else 1, {}
 
 
 # ---------------------------------------------------------------------- parser
@@ -557,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     outputs.add_argument("--out", required=True)
     outputs.add_argument("--manifest", default=None)
     command = functools.partial(sub.add_parser, parents=[outputs])
-    offset_kinds = ["gaussian", "uniform", "two-point", "two_point"]
+    # each offset kind also in its dashed spelling; the init kinds only in it
+    offset_kinds = list(dict.fromkeys(s for k in KINDS for s in (k.replace("_", "-"), k)))
 
     sim = command("simulate", help="run the chain and summarise an observable")
     sim.add_argument("--particles", type=int, required=True)
@@ -573,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--thin", type=int, default=None)
     sim.add_argument(
-        "--init", default="all-zero", choices=["all-zero", "iid-gaussian", "iid-uniform"]
+        "--init", default="all-zero", choices=[k.replace("_", "-") for k in INIT_KINDS]
     )
     sim.add_argument("--init-scale", type=float, default=1.0, dest="init_scale")
     sim.add_argument(
@@ -658,17 +644,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(_merge_dash_values(argv))
+    flags = {key: value for key, value in vars(args).items() if key != "command"}
     started = _utcnow()
     try:
-        outputs, config, status, extra = COMMANDS[args.command](args)
+        outputs, status, extra = COMMANDS[args.command](args)
         _write_json(
             _resolve(args.manifest or args.out + ".manifest.json"),
             {
                 "schema_version": 1,
                 "command": args.command,
                 "argv": argv,
-                "config": config,
-                "seed": config.get("seed"),
+                "config": flags,
+                "seed": flags.get("seed"),
                 "code_version": __version__,
                 "environment": _environment(),
                 "started_utc": started,

@@ -81,11 +81,6 @@ def partitions(n: int) -> Iterator[Partition]:
         yield tuple(x[:m])
 
 
-def prune(multi_index: Iterable[int]) -> Partition:
-    """Drop zero entries and sort the rest nonincreasingly."""
-    return tuple(sorted((v for v in multi_index if v != 0), reverse=True))
-
-
 def phi_base(order: int) -> Fraction:
     """Order-n derivative of the one-distance limit CF at 0, as the rational
     coefficient of sigma^n: 0 for odd n, (-1)^(n/2) n! / 2^(n/2) for even n."""
@@ -157,17 +152,6 @@ class PhiTable:
             return Fraction(0)
         den, nums = self._levels[order, len(parts)]
         return Fraction(nums[sum(self._powers[v] for v in parts)], den)
-
-    def coefficient(self, parts: Iterable[int]) -> Fraction:
-        key = prune(parts)
-        if key and key[-1] < 0:
-            raise ValueError(f"partition {key} has a negative part")
-        if sum(key) > self.max_order:
-            raise ValueError(
-                f"partition {key} of order {sum(key)} exceeds table max_order "
-                f"{self.max_order}"
-            )
-        return self._read(key)
 
     def moment(self, k: int) -> Fraction:
         """Exact k-th moment of the limiting single-particle law, as the

@@ -103,15 +103,6 @@ class OffsetDistribution:
         check_count(n_particles, 2, "n_particles")
         return self.cf(s / math.sqrt(n_particles))
 
-    def pdf(self, x):
-        """Lebesgue density at x; only the gaussian and uniform kinds have one."""
-        if self.kind == TWO_POINT:
-            raise ValueError("two_point offsets are discrete and have no density")
-        x = np.asarray(x, dtype=float)
-        if self.kind == GAUSSIAN:
-            return np.exp(-0.5 * np.square(x / self.sigma)) / (self.sigma * math.sqrt(2 * math.pi))
-        return np.where(np.abs(x) <= self.half_width, 1.0 / (2.0 * self.half_width), 0.0)[()]
-
 
 def gaussian(sigma: float) -> OffsetDistribution:
     return OffsetDistribution(GAUSSIAN, sigma)

@@ -40,8 +40,10 @@ draws overlap the chase and the Python-level jump loop.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -82,6 +84,13 @@ FRONTIER_WIDTH = 128
 # every 2000 steps took 1.19 / 0.83 s, and the README ``simulate``'s run 87 /
 # 70 ms.
 SWITCH_INTERVAL = 2e-4
+
+# The count of live runs and the switch interval the first of them found,
+# which the last one out restores; both change only under the lock. The
+# interval belongs to the process, so the count does too.
+_switch_lock = threading.Lock()
+_live_runs = 0
+_outer_interval = 0.0
 
 INIT_KINDS = ("all_zero", "iid_gaussian", "iid_uniform")
 
@@ -305,6 +314,26 @@ def lineage_moves(
     return np.flatnonzero(found) + lo, needed
 
 
+@contextlib.contextmanager
+def _short_switch_interval():
+    """Hold the switch interval at most ``SWITCH_INTERVAL`` while any run's
+    worker lives. A run that saved the interval it found would, behind
+    another live run, save that run's lowered one and restore it for good."""
+    global _live_runs, _outer_interval
+    with _switch_lock:
+        if not _live_runs:
+            _outer_interval = sys.getswitchinterval()
+            sys.setswitchinterval(min(_outer_interval, SWITCH_INTERVAL))
+        _live_runs += 1
+    try:
+        yield
+    finally:
+        with _switch_lock:
+            _live_runs -= 1
+            if not _live_runs:
+                sys.setswitchinterval(_outer_interval)
+
+
 def run(config: SimConfig, centred: bool = False) -> Trajectory:
     """Run the chain and record frames.
 
@@ -362,7 +391,8 @@ def run(config: SimConfig, centred: bool = False) -> Trajectory:
     re-raised here through its future, and the thread is joined on every exit
     path. While it lives, the interpreter's switch interval is at most
     ``SWITCH_INTERVAL``, so that this thread gets the GIL back from the jump
-    loop soon after each numpy call of a draw.
+    loop soon after each numpy call of a draw; the last of several
+    overlapping runs to end restores the interval the first one found.
     """
     # imported here, not at the top: it pulls in logging, which no other
     # command needs at start-up
@@ -462,23 +492,18 @@ def run(config: SimConfig, centred: bool = False) -> Trajectory:
                  base, inside)
         applied += end - a
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(min(interval, SWITCH_INTERVAL))
-    try:
-        with ThreadPoolExecutor(1) as worker:
-            # the burn-in's frame, then the rest, each gap the same length
-            for frames, gap in ((range(1), burn_in), (range(1, len(schedule)), config.thin)):
-                if not gap:
-                    positions[0] = x  # the worker has nothing yet
-                elif gap >= shortest:
-                    for f in frames:
-                        walk(f)
-                elif frames:
-                    whole(frames)
-            if applying is not None:
-                applying.result()
-    finally:
-        sys.setswitchinterval(interval)
+    with _short_switch_interval(), ThreadPoolExecutor(1) as worker:
+        # the burn-in's frame, then the rest, each gap the same length
+        for frames, gap in ((range(1), burn_in), (range(1, len(schedule)), config.thin)):
+            if not gap:
+                positions[0] = x  # the worker has nothing yet
+            elif gap >= shortest:
+                for f in frames:
+                    walk(f)
+            elif frames:
+                whole(frames)
+        if applying is not None:
+            applying.result()
     return Trajectory(
         config=config, times=np.array(schedule, dtype=np.int64), positions=positions,
         moves_applied=applied, centred=centred, coalesced=coalesced,

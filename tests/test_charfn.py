@@ -148,9 +148,8 @@ def test_scalar_and_array_evaluation_agree_bitwise(make):
         "distance_cf_limit": (lambda s: charfn.distance_cf_limit(s, SIGMA), GRID_FINE),
         "cf": (dist.cf, GRID_FINE),
         "laplace_pdf": (lambda y: charfn.laplace_pdf(y, SIGMA), GRID_FINE * SIGMA / 100),
+        "laplace_cdf": (lambda x: charfn.laplace_cdf(x, SIGMA), GRID_FINE * SIGMA / 100),
     }
-    if dist.kind != offsets.TWO_POINT:
-        evaluators["pdf"] = (dist.pdf, GRID_FINE * SIGMA / 10)
     if dist.kind == offsets.GAUSSIAN:
         evaluators["distance_pdf"] = (
             lambda y: charfn.distance_pdf(y, 100, SIGMA), GRID_FINE / 100
@@ -528,14 +527,13 @@ def distance_pair_pdf_three(y1, y2, sigma, eps=1e-10):
     """Joint density of two distances sharing a particle, for n=3, gaussian
     offsets: the symmetric six-term product form."""
     root = math.sqrt(3)
-    dist = offsets.gaussian(sigma)
 
     def rho_d(v):
         return charfn.distance_pdf(v, 3, sigma, eps)
 
     def rho_off(v):
-        # density of offset/sqrt(3)
-        return root * dist.pdf(v * root)
+        # density of offset/sqrt(3), a centred normal of variance sigma^2/3
+        return root * np.exp(-1.5 * np.square(v / sigma)) / (sigma * math.sqrt(2 * math.pi))
 
     diff = y1 - y2
     return (

@@ -488,12 +488,16 @@ def test_compare_validates_flags(tmp_path, capsys):
         "compare", "--summary", summary, "--sigma", 0.1, "--n", 5,
         "--offset", "uniform", "--out", report,
     ) == 2
-    for tol in ("2:nan", "4:inf", "2:-0.1"):
+    for tol, message in (
+        ("2:nan", "finite"), ("4:inf", "finite"), ("2:-0.1", "finite"),
+        ("2:0.1,6:nan", "finite"), ("0:0.1", "--moment-tol"), ("-2:0.3", "--moment-tol"),
+        ("0:0.1,-2:0.3", "must be >= 1"),
+    ):
         assert run_cli(
             "compare", "--summary", summary, "--sigma", 0.1, "--n", 5,
-            "--moment-tol", tol, "--out", report,
+            f"--moment-tol={tol}", "--out", report,
         ) == 2
-        assert "finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     for flags, message in (
         (["--max-order", 0], "--max-order must be >= 1"),
         (["--max-order", -2], "--max-order must be >= 1"),
@@ -702,14 +706,14 @@ def test_compare_report_shape(tmp_path):
     assert (code == 0) is report["pass"]
 
 
-@pytest.mark.parametrize("command", ["simulate", "moments", "cf", "compare"])
-def test_manifest_of_every_command(tmp_path, command):
+def _command_argv(tmp_path, command):
+    """A short argv of ``command``, writing to ``tmp_path``; compare reads a
+    summary made here."""
     summary = tmp_path / "d.json"
     assert run_cli(
         "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 1000,
         "--seed", 4, "--out", summary,
     ) == 0
-    out = tmp_path / "out.json"
     argv = {
         "simulate": ["simulate", "--particles", 3, "--sigma", 0.5, "--steps", 20,
                      "--seed", 9, "--trajectory-out", tmp_path / "t.csv"],
@@ -717,8 +721,14 @@ def test_manifest_of_every_command(tmp_path, command):
         "cf": ["cf", "--mode", "psiN", "--n", 10, "--sigma", 0.1, "--grid", "0:5:3"],
         "compare": ["compare", "--summary", summary, "--sigma", 0.1, "--n", 5],
     }[command]
+    return [str(a) for a in argv + ["--out", tmp_path / "out.json",
+                                    "--manifest", tmp_path / "run.manifest.json"]]
+
+
+@pytest.mark.parametrize("command", ["simulate", "moments", "cf", "compare"])
+def test_manifest_of_every_command(tmp_path, command):
     manifest_path = tmp_path / "run.manifest.json"
-    assert run_cli(*argv, "--out", out, "--manifest", manifest_path) in (0, 1)
+    assert main(_command_argv(tmp_path, command)) in (0, 1)
     assert not (tmp_path / "out.json.manifest.json").exists()
     manifest = read_json(manifest_path)
     keys = {
@@ -737,6 +747,16 @@ def test_manifest_of_every_command(tmp_path, command):
         payload = (tmp_path / entry["path"]).read_bytes()
         assert entry["sha256"] == hashlib.sha256(payload).hexdigest()
         assert entry["bytes"] == len(payload)
+
+
+@pytest.mark.parametrize("command", ["simulate", "moments", "cf", "compare"])
+def test_manifest_config_is_the_parsed_flags(tmp_path, command):
+    argv = _command_argv(tmp_path, command)
+    assert main(argv) in (0, 1)
+    flags = vars(cli.build_parser().parse_args(argv))
+    del flags["command"]
+    # defaults included: every flag that shapes the payload is echoed
+    assert read_json(tmp_path / "run.manifest.json")["config"] == flags
 
 
 def test_env_var_output_directory(tmp_path, monkeypatch):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.integrate import quad
 
 from turnover import charfn, empirical, moments, offsets, simulator
 
@@ -78,28 +77,6 @@ def test_cf_scaled_small_s_expansion():
 def test_cf_scaled_rejects_small_n():
     with pytest.raises(ValueError):
         offsets.gaussian(1.0).cf_scaled(1.0, 1)
-
-
-def test_pdf_values():
-    sigma = 0.5
-    g = offsets.gaussian(sigma)
-    assert g.pdf(0.0) == pytest.approx(1.0 / (sigma * math.sqrt(2 * math.pi)), rel=1e-15)
-    assert offsets.uniform(1.0).pdf(2.0) == 0.0
-    assert offsets.uniform(1.0).pdf(0.0) == pytest.approx(1.0 / (2 * math.sqrt(3)), rel=1e-15)
-    with pytest.raises(ValueError):
-        offsets.two_point(1.0).pdf(0.0)
-
-
-def test_gaussian_pdf_normalised():
-    d = offsets.gaussian(0.1)
-    total, _ = quad(d.pdf, -2.0, 2.0, epsabs=1e-12)
-    assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_uniform_pdf_normalised():
-    d = offsets.uniform(0.7)
-    total, _ = quad(d.pdf, -2.0, 2.0, points=[-d.half_width, d.half_width], limit=200)
-    assert total == pytest.approx(1.0, abs=1e-9)
 
 
 @given(

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -741,6 +742,77 @@ def test_run_propagates_a_draw_failure_and_joins_the_worker(monkeypatch):
     assert threading.active_count() == before
     # run lowers the switch interval only while its worker lives
     assert sys.getswitchinterval() == interval
+
+
+def test_overlapping_runs_restore_the_switch_interval(monkeypatch):
+    # run A starts first and ends first, while run B is live on the main
+    # thread: B must not take A's lowered interval for the one to restore
+    a_drawing, b_drawing, a_done = threading.Event(), threading.Event(), threading.Event()
+    draw = simulator.draw_moves
+    waited = set()
+
+    def draw_moves(*args):
+        me = threading.current_thread()
+        if me not in waited:
+            waited.add(me)
+            if me is threading.main_thread():
+                b_drawing.set()
+                assert a_done.wait(30)
+            else:
+                a_drawing.set()
+                assert b_drawing.wait(30)
+        return draw(*args)
+
+    monkeypatch.setattr(simulator, "draw_moves", draw_moves)
+    config = simulator.SimConfig(
+        n_particles=4, offsets=offsets.gaussian(1.0), steps=20, burn_in=0, seed=3
+    )
+    results = []
+
+    def run_a():
+        try:
+            results.append(simulator.run(config))
+        finally:
+            a_done.set()
+
+    interval = sys.getswitchinterval()
+    a = threading.Thread(target=run_a)
+    a.start()
+    try:
+        assert a_drawing.wait(30)
+        assert sys.getswitchinterval() < interval
+        b = simulator.run(config)
+    finally:
+        a.join(30)
+        # put back before asserting, so a leak does not reach other tests
+        after = sys.getswitchinterval()
+        sys.setswitchinterval(interval)
+    assert not a.is_alive() and len(results) == 1
+    np.testing.assert_array_equal(results[0].positions, b.positions)
+    assert after == interval
+
+
+def test_concurrent_runs_match_serial_runs_and_count_back_to_zero():
+    # more threads than cores, each starting and ending runs under a very
+    # short switch interval: a lost update to the live-run count would leave
+    # it above zero, and a run's state shared with another would move frames
+    configs = [
+        simulator.SimConfig(n_particles=3 + k % 4, offsets=offsets.gaussian(1.0), steps=200,
+                            burn_in=5, seed=k, thin=7)
+        for k in range(24)
+    ]
+    serial = [simulator.run(c).positions for c in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(simulator.run, c) for c in configs]
+            concurrent = [f.result(timeout=60).positions for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, concurrent):
+        np.testing.assert_array_equal(a, b)
+    assert simulator._live_runs == 0
 
 
 def _bad_jumper(moves):
