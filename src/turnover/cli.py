@@ -359,8 +359,12 @@ def cmd_cf(args: argparse.Namespace) -> CommandResult:
         raise ValueError(f"--n is required for mode {mode}")
     if needs_k and args.k is None:
         raise ValueError(f"--k is required for mode {mode}")
-    if needs_k:
+    # checked in every mode, as the manifest records them whether read or not
+    if args.n is not None:
+        check_count(args.n, 2, "--n")
+    if args.k is not None:
         check_count(args.k, 1, "--k")
+    check_count(args.cap, 1, "--cap")
     check_eps(args.eps, "--eps")
     offsets = from_name(args.offset, sigma)
     values = _cf_values(mode, args.n, args.k, offsets, args.cap, args.eps, points)

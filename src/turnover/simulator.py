@@ -30,20 +30,11 @@ frame bit-identical to applying all moves. For centred observables a walk
 may stop as soon as one lineage is left (coupling from the past, Propp &
 Wilson 1996): the centred frame no longer depends on anything before that
 step.
-
-``run`` works on two threads. The calling thread draws every block, one
-ahead of the worker, in the order the worker needs them; the one worker
-thread walks the lineages and applies the moves, in the order it is handed
-them. numpy releases the GIL inside its random fills and large ufuncs, so the
-draws overlap the chase and the Python-level jump loop.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import sys
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -74,23 +65,6 @@ SHORT_GAP = 4
 # 64 to 256 chased as fast at n = 10**3 to 10**5. At 128 a run at n = 100
 # never takes the numpy step, so its chase is the walk it always was.
 FRONTIER_WIDTH = 128
-
-# The interpreter's thread switch interval, in seconds, while ``run``'s worker
-# lives. The worker's jump loop holds the GIL, and the calling thread needs it
-# back after each numpy call that draws a block (eight for gaussian offsets).
-# At the default 5 ms it waits longer for it than the worker takes to apply a
-# block, so the draws fell out of step with the loop. Best of three on a
-# shared 2-vCPU host, at 5 ms / 0.2 ms: a 20M-step run at n = 100 with a frame
-# every 2000 steps took 1.19 / 0.83 s, and the README ``simulate``'s run 87 /
-# 70 ms.
-SWITCH_INTERVAL = 2e-4
-
-# The count of live runs and the switch interval the first of them found,
-# which the last one out restores; both change only under the lock. The
-# interval belongs to the process, so the count does too.
-_switch_lock = threading.Lock()
-_live_runs = 0
-_outer_interval = 0.0
 
 INIT_KINDS = ("all_zero", "iid_gaussian", "iid_uniform")
 
@@ -314,26 +288,6 @@ def lineage_moves(
     return np.flatnonzero(found) + lo, needed
 
 
-@contextlib.contextmanager
-def _short_switch_interval():
-    """Hold the switch interval at most ``SWITCH_INTERVAL`` while any run's
-    worker lives. A run that saved the interval it found would, behind
-    another live run, save that run's lowered one and restore it for good."""
-    global _live_runs, _outer_interval
-    with _switch_lock:
-        if not _live_runs:
-            _outer_interval = sys.getswitchinterval()
-            sys.setswitchinterval(min(_outer_interval, SWITCH_INTERVAL))
-        _live_runs += 1
-    try:
-        yield
-    finally:
-        with _switch_lock:
-            _live_runs -= 1
-            if not _live_runs:
-                sys.setswitchinterval(_outer_interval)
-
-
 def run(config: SimConfig, centred: bool = False) -> Trajectory:
     """Run the chain and record frames.
 
@@ -379,25 +333,7 @@ def run(config: SimConfig, centred: bool = False) -> Trajectory:
         2**15   165/131  172/149  142/146  136/125
         2**16   167/162  144/150  125/162  119/142
         10**5   161/168  170/187  127/172  114/135
-
-    This thread draws every block (``draw_moves``, then the offsets) and
-    hands the worker thread the chase of each block of a walk, or the moves
-    of each block of a whole gap. It draws the next block the walk or the
-    gap needs while the worker works on this one (for a centred walk, only
-    while it has covered fewer than n**2 moves), and hands it over only once
-    the worker is done, so at most one drawn block waits. A walk's kept moves
-    are gathered on the worker, and the worker applies them after the walk's
-    last block. The worker is one executor thread: a failure there is
-    re-raised here through its future, and the thread is joined on every exit
-    path. While it lives, the interpreter's switch interval is at most
-    ``SWITCH_INTERVAL``, so that this thread gets the GIL back from the jump
-    loop soon after each numpy call of a draw; the last of several
-    overlapping runs to end restores the interval the first one found.
     """
-    # imported here, not at the top: it pulls in logging, which no other
-    # command needs at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
     n = config.n_particles
     size = LINEAGE_BLOCK
     burn_in = config.resolved_burn_in
@@ -443,14 +379,6 @@ def run(config: SimConfig, centred: bool = False) -> Trajectory:
         positions[f] = x
 
     applied = 0
-    applying = None  # the worker's last apply task
-
-    def hand(task, *args) -> None:
-        # after the worker's last apply task, whose failure is raised here
-        nonlocal applying
-        if applying is not None:
-            applying.result()
-        applying = worker.submit(task, *args)
 
     def walk(f: int) -> None:
         nonlocal applied
@@ -461,13 +389,7 @@ def run(config: SimConfig, centred: bool = False) -> Trajectory:
         while True:
             base = k * size
             lo = max(a, base)
-            # queued behind the worker's last task, beside the next draw
-            chasing = worker.submit(chase, block(k), lo - base, hi - base, live)
-            # the block before is drawn meanwhile, unless a centred walk has
-            # covered n**2 moves, within which 62 % of walks coalesce
-            if lo > a and not (centred and b - base >= n * n):
-                block(k - 1)
-            piece, live = chasing.result()
+            piece, live = chase(block(k), lo - base, hi - base, live)
             pieces.append(piece)
             if centred and np.count_nonzero(live) == 1:
                 coalesced[f] = True
@@ -476,7 +398,7 @@ def run(config: SimConfig, centred: bool = False) -> Trajectory:
                 break
             k, hi = k - 1, base
         applied += sum(len(piece[0]) for piece in pieces)
-        hand(apply, pieces, f)
+        apply(pieces, f)
 
     def whole(frames: range) -> None:
         nonlocal applied
@@ -488,22 +410,18 @@ def run(config: SimConfig, centred: bool = False) -> Trajectory:
                 bisect_right(schedule, base, frames.start, frames.stop),
                 bisect_right(schedule, base + size, frames.start, frames.stop),
             )
-            hand(forward, block(k), max(a, base) - base, min(end, base + size) - base,
-                 base, inside)
+            forward(block(k), max(a, base) - base, min(end, base + size) - base, base, inside)
         applied += end - a
 
-    with _short_switch_interval(), ThreadPoolExecutor(1) as worker:
-        # the burn-in's frame, then the rest, each gap the same length
-        for frames, gap in ((range(1), burn_in), (range(1, len(schedule)), config.thin)):
-            if not gap:
-                positions[0] = x  # the worker has nothing yet
-            elif gap >= shortest:
-                for f in frames:
-                    walk(f)
-            elif frames:
-                whole(frames)
-        if applying is not None:
-            applying.result()
+    # the burn-in's frame, then the rest, each gap the same length
+    for frames, gap in ((range(1), burn_in), (range(1, len(schedule)), config.thin)):
+        if not gap:
+            positions[0] = x
+        elif gap >= shortest:
+            for f in frames:
+                walk(f)
+        elif frames:
+            whole(frames)
     return Trajectory(
         config=config, times=np.array(schedule, dtype=np.int64), positions=positions,
         moves_applied=applied, centred=centred, coalesced=coalesced,

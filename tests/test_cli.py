@@ -157,6 +157,17 @@ def test_cf_errors(tmp_path, capsys):
             "cf", "--mode", mode, *extra, "--sigma", 0.1, "--grid", "0:1:2", "--out", out,
         ) == 2
         assert "--k must be >= 1" in capsys.readouterr().err
+    # --n, --k and --cap are checked whenever given, also in a mode that does
+    # not read them, since the manifest records them
+    for mode, extra, message in (
+        ("laplaceCF", ["--n", -5], "--n must be >= 2"),
+        ("laplacePdf", ["--k", -3], "--k must be >= 1"),
+        ("psiN", ["--n", 10, "--cap", 0], "--cap must be >= 1"),
+    ):
+        assert run_cli(
+            "cf", "--mode", mode, *extra, "--sigma", 0.1, "--grid", "0:1:3", "--out", out,
+        ) == 2
+        assert message in capsys.readouterr().err
     # eps is the mixture's discarded mass, so it lies in (0, 1), and it is
     # checked for every mode, also those that draw no mixture
     for mode, extra in (("muNpdf", ["--n", 100]), ("psiN", ["--n", 100]),

@@ -2,7 +2,6 @@ import hashlib
 import math
 import sys
 import threading
-import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -386,6 +385,10 @@ def _replay_case(burn_in, steps, thin, n=4, chunk=5, short=None):
         # short-gap rule, with the lineages followed in numpy steps
         _replay_case(0, 200, 20, 8, 64, short=2),  # frames fall inside blocks
         _replay_case(5, 300, 30, 6, 64, short=3),  # gaps under 3 n at the seams
+        # hundreds of blocks of 7 moves: every gap applied whole at n = 5, most
+        # cut down at n = 2
+        _replay_case(3, 3000, 9, 5, 7),
+        _replay_case(3, 3000, 9, 2, 7),
     ],
 )
 def test_run_matches_chunked_replay(monkeypatch, burn_in, steps, thin, n, chunk, short):
@@ -641,25 +644,16 @@ def test_run_memory_is_bounded_by_the_output():
         assert trajectory.n_frames == n_frames
         if thin >= 100 * 100:
             assert trajectory.moves_applied < steps // 10
-        # a block takes 10 B a move. The worker holds one while the calling
-        # thread draws the next, whose int64 indices take 8 B a move more
+        # a block takes 10 B a move, and a draw's int64 indices take 8 B a
+        # move more until they are narrowed
         budget = trajectory.positions.nbytes + 4 * size * 8
         assert peak < budget, f"thin={thin}: traced peak {peak} B over budget {budget} B"
 
 
 def test_run_frees_a_cut_down_batch_while_the_worker_lags(monkeypatch):
-    # gaps of two blocks, each walked back on the worker thread, which is held
-    # back. The calling thread draws one block ahead of the chase, and each
-    # block must be freed by the time the one after next is drawn
+    # gaps of two blocks, each walked back a block at a time: each block must
+    # be freed by the time the one after next is drawn
     size = simulator.LINEAGE_BLOCK
-    caller = threading.current_thread()
-    chase = simulator.lineage_moves
-
-    def slow_chase(*args):
-        if threading.current_thread() is not caller:
-            time.sleep(0.05)
-        return chase(*args)
-
     draw = simulator.draw_moves
     entries = []  # traced memory at each draw's entry
 
@@ -667,7 +661,6 @@ def test_run_frees_a_cut_down_batch_while_the_worker_lags(monkeypatch):
         entries.append(tracemalloc.get_traced_memory()[0])
         return draw(*args)
 
-    monkeypatch.setattr(simulator, "lineage_moves", slow_chase)
     monkeypatch.setattr(simulator, "draw_moves", draw_moves)
     config = simulator.SimConfig(
         n_particles=100,
@@ -723,7 +716,7 @@ def _failing_draws(monkeypatch, fail_at, make_error):
     return calls
 
 
-def test_run_propagates_a_draw_failure_and_joins_the_worker(monkeypatch):
+def test_run_propagates_a_draw_failure(monkeypatch):
     monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 5)
 
     def fail(_moves):
@@ -733,69 +726,15 @@ def test_run_propagates_a_draw_failure_and_joins_the_worker(monkeypatch):
     config = simulator.SimConfig(
         n_particles=4, offsets=offsets.gaussian(1.0), steps=20, burn_in=0, seed=3
     )
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
     with pytest.raises(RuntimeError, match="draw failed"):
         simulator.run(config)
-    # the first block went to the worker before the second draw failed
+    # the first block was applied before the second draw failed
     assert len(calls) == 2
-    assert threading.active_count() == before
-    # run lowers the switch interval only while its worker lives
-    assert sys.getswitchinterval() == interval
 
 
-def test_overlapping_runs_restore_the_switch_interval(monkeypatch):
-    # run A starts first and ends first, while run B is live on the main
-    # thread: B must not take A's lowered interval for the one to restore
-    a_drawing, b_drawing, a_done = threading.Event(), threading.Event(), threading.Event()
-    draw = simulator.draw_moves
-    waited = set()
-
-    def draw_moves(*args):
-        me = threading.current_thread()
-        if me not in waited:
-            waited.add(me)
-            if me is threading.main_thread():
-                b_drawing.set()
-                assert a_done.wait(30)
-            else:
-                a_drawing.set()
-                assert b_drawing.wait(30)
-        return draw(*args)
-
-    monkeypatch.setattr(simulator, "draw_moves", draw_moves)
-    config = simulator.SimConfig(
-        n_particles=4, offsets=offsets.gaussian(1.0), steps=20, burn_in=0, seed=3
-    )
-    results = []
-
-    def run_a():
-        try:
-            results.append(simulator.run(config))
-        finally:
-            a_done.set()
-
-    interval = sys.getswitchinterval()
-    a = threading.Thread(target=run_a)
-    a.start()
-    try:
-        assert a_drawing.wait(30)
-        assert sys.getswitchinterval() < interval
-        b = simulator.run(config)
-    finally:
-        a.join(30)
-        # put back before asserting, so a leak does not reach other tests
-        after = sys.getswitchinterval()
-        sys.setswitchinterval(interval)
-    assert not a.is_alive() and len(results) == 1
-    np.testing.assert_array_equal(results[0].positions, b.positions)
-    assert after == interval
-
-
-def test_concurrent_runs_match_serial_runs_and_count_back_to_zero():
+def test_concurrent_runs_match_serial_runs():
     # more threads than cores, each starting and ending runs under a very
-    # short switch interval: a lost update to the live-run count would leave
-    # it above zero, and a run's state shared with another would move frames
+    # short switch interval: a run's state shared with another would move frames
     configs = [
         simulator.SimConfig(n_particles=3 + k % 4, offsets=offsets.gaussian(1.0), steps=200,
                             burn_in=5, seed=k, thin=7)
@@ -812,144 +751,69 @@ def test_concurrent_runs_match_serial_runs_and_count_back_to_zero():
         sys.setswitchinterval(interval)
     for a, b in zip(serial, concurrent):
         np.testing.assert_array_equal(a, b)
-    assert simulator._live_runs == 0
 
 
 def _bad_jumper(moves):
     ii, jj = moves
     ii = ii.copy()
-    ii[0] = 4  # no particle 4 among 4: the loop on the worker fails
+    ii[0] = 4  # no particle 4 among 4: the jump loop fails
     return ii, jj
 
 
-def test_run_propagates_a_worker_failure(monkeypatch):
+def test_run_propagates_a_loop_failure(monkeypatch):
     monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 5)
     _failing_draws(monkeypatch, 2, _bad_jumper)
     config = simulator.SimConfig(
         n_particles=4, offsets=offsets.gaussian(1.0), steps=30, burn_in=0, seed=3
     )
-    before = threading.active_count()
     with pytest.raises(IndexError):
         simulator.run(config)
-    assert threading.active_count() == before
-
-
-def test_run_propagates_a_worker_failure_in_the_last_batch(monkeypatch):
-    # no later block reads the failure: the run must still raise it
-    monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 5)
-    calls = _failing_draws(monkeypatch, 6, _bad_jumper)
-    config = simulator.SimConfig(
-        n_particles=4, offsets=offsets.gaussian(1.0), steps=30, burn_in=0, seed=3
-    )
-    before = threading.active_count()
-    with pytest.raises(IndexError):
-        simulator.run(config)
-    assert len(calls) == 6
-    assert threading.active_count() == before
-
-
-def _chased_config(monkeypatch, thin=16):
-    """Blocks of 64 moves with frames ``thin`` apart at n = 3, so that every
-    gap is cut down to its lineage moves on the worker thread."""
-    monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 64)
-    monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
-    return simulator.SimConfig(
-        n_particles=3, offsets=offsets.gaussian(1.0), steps=320, burn_in=0, seed=3, thin=thin
-    )
 
 
 def test_run_propagates_a_chase_failure(monkeypatch):
-    config = _chased_config(monkeypatch)
+    # blocks of 64 moves with frames 16 apart at n = 3: every gap is cut down
+    # to its lineage moves
+    monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 64)
+    monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
+    config = simulator.SimConfig(
+        n_particles=3, offsets=offsets.gaussian(1.0), steps=320, burn_in=0, seed=3, thin=16
+    )
     chase = simulator.lineage_moves
     calls = []
 
     def lineage_moves(*args):
         calls.append(None)
-        if len(calls) == 6:  # in the sixth gap, with a worker started
+        if len(calls) == 6:  # in the sixth gap
             raise RuntimeError("chase failed")
         return chase(*args)
 
     monkeypatch.setattr(simulator, "lineage_moves", lineage_moves)
-    before = threading.active_count()
     # a lost failure would apply the whole gap and return a valid-looking run
     with pytest.raises(RuntimeError, match="chase failed"):
         simulator.run(config)
     assert len(calls) == 6
-    assert threading.active_count() == before
 
 
-def test_run_joins_the_chase_when_the_offset_draw_fails(monkeypatch):
-    # gaps of two blocks: the block before is drawn while the last is chased
-    config = _chased_config(monkeypatch, thin=128)
-    chase = simulator.lineage_moves
-    started, finished = threading.Event(), []
 
-    def lineage_moves(*args):
-        started.set()
-        time.sleep(0.05)
-        finished.append(None)
-        return chase(*args)
-
-    draw, draws = offsets.OffsetDistribution.sample, []
-
-    def sample(self, rng, size):
-        draws.append(None)
-        if len(draws) == 1:
-            return draw(self, rng, size)  # the last block, drawn before any chase
-        # the chase of the block after this one is running while the draw fails
-        assert started.wait(10)
-        raise RuntimeError("offsets failed")
-
-    monkeypatch.setattr(simulator, "lineage_moves", lineage_moves)
-    monkeypatch.setattr(offsets.OffsetDistribution, "sample", sample)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="offsets failed"):
-        simulator.run(config)
-    # the failed draw waited for the chase before it left run
-    assert finished
-    assert threading.active_count() == before
-
-
-def test_run_leaves_no_thread_behind(monkeypatch):
-    # hundreds of block hand-offs under a very short switch interval: a frame
-    # recorded or a move applied out of turn would break the replay
+def test_run_starts_no_thread_and_keeps_the_switch_interval(monkeypatch):
+    # run works on the calling thread alone: at every draw no thread has been
+    # started and the switch interval is the one the caller set
     monkeypatch.setattr(simulator, "LINEAGE_BLOCK", 7)
-    config = simulator.SimConfig(
-        n_particles=5, offsets=offsets.two_point(0.1), steps=3000, burn_in=3, seed=4, thin=9
-    )
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        trajectory = simulator.run(config)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
-    _, frames, _, _ = _replay(config, 7)
-    np.testing.assert_array_equal(trajectory.positions, frames)
-    # the same at n = 2, where most gaps are cut down, each chase queued on
-    # the worker behind the previous gap's moves
     monkeypatch.setattr(simulator, "LINEAGE_MIN_PARTICLES", 2)
-    chase = simulator.lineage_moves
-    chasers = []
+    draw = simulator.draw_moves
+    seen = []  # per draw: live threads and the switch interval
 
-    def lineage_moves(*args):
-        chasers.append(threading.current_thread())
-        return chase(*args)
+    def draw_moves(*args):
+        seen.append((threading.active_count(), sys.getswitchinterval()))
+        return draw(*args)
 
-    monkeypatch.setattr(simulator, "lineage_moves", lineage_moves)
-    config = simulator.SimConfig(
-        n_particles=2, offsets=offsets.gaussian(0.1), steps=3000, burn_in=3, seed=4, thin=9
-    )
-    sys.setswitchinterval(1e-6)
-    try:
+    monkeypatch.setattr(simulator, "draw_moves", draw_moves)
+    before = threading.active_count(), sys.getswitchinterval()
+    for n in (2, 5):  # gaps of 9 moves: cut down at n = 2, applied whole at n = 5
+        config = simulator.SimConfig(
+            n_particles=n, offsets=offsets.gaussian(0.1), steps=300, burn_in=3, seed=4, thin=9
+        )
+        seen.clear()
         trajectory = simulator.run(config)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
-    assert trajectory.moves_applied < 3003
-    # every chase ran on the one worker thread, none on the caller's
-    assert len(set(chasers)) == 1
-    assert chasers[0] is not threading.current_thread()
-    _, frames, _, _ = _replay(config, 7)
-    np.testing.assert_array_equal(trajectory.positions, frames)
+        assert seen and set(seen) == {before}
+        assert (trajectory.moves_applied < trajectory.times[-1]) == (n == 2)

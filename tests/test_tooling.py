@@ -64,8 +64,7 @@ def test_method_targets_resolve(target):
              "empirical.ks_laplace": "empirical.summarize"},
         ),
         (
-            # thin = n**2: the gaps are cut down to their lineage moves on the
-            # worker thread while the offsets are drawn
+            # thin = n**2: the gaps are cut down to their lineage moves
             ["simulate", "--particles", "64", "--sigma", "0.1", "--steps", "8192",
              "--thin", "4096", "--seed", "1", "--out", "d.json"],
             {"simulator.run", "simulator.draw_moves", "offsets.sample"},
@@ -149,7 +148,7 @@ def test_summarize_calls_traced_names_on_the_calling_thread(monkeypatch):
 
 
 def test_cli_import_leaves_the_executor_unloaded():
-    # concurrent.futures pulls in logging; `simulator.run` imports it itself,
+    # concurrent.futures pulls in logging; only `summarize` imports it, itself,
     # so neither the other commands nor the benchmark's setup_s pay for it
     done = subprocess.run(
         [sys.executable, "-c",
