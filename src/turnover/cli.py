@@ -40,7 +40,7 @@ from .charfn import (
     particle_cf,
     particle_cf_limit,
 )
-from .empirical import EmpiricalSummary, summarize
+from .empirical import EmpiricalSummary, finite_or_none, summarize
 from .moments import build_phi_table, phi_base
 from .offsets import KINDS, OffsetDistribution, check_count, check_scale, from_name
 from .simulator import INIT_KINDS, SimConfig, run
@@ -78,6 +78,15 @@ def _resolve(path: str) -> str:
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _scaled(value, sigma: float, order: int) -> float:
+    """``float(value) * sigma**order`` for a ``value`` >= 0, where a power too
+    large for a float gives inf, or 0 for a zero value."""
+    try:
+        return float(value) * sigma**order
+    except OverflowError:
+        return math.inf if value else 0.0
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -295,7 +304,7 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
     for order in range(1, args.max_order + 1):
         moment = table.moment(order)
         rows.append(
-            (order, moment.numerator, moment.denominator, float(moment) * args.sigma**order)
+            (order, moment.numerator, moment.denominator, _scaled(moment, args.sigma, order))
         )
     out = _resolve(args.out)
     if args.format == "csv":
@@ -311,7 +320,7 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
                 "schema_version": 1,
                 "sigma": args.sigma,
                 "rows": [
-                    {"order": o, "num": n, "den": d, "value": v}
+                    {"order": o, "num": n, "den": d, "value": finite_or_none(v)}
                     for o, n, d, v in rows
                 ],
             },
@@ -421,7 +430,8 @@ def _verdict(estimate, se, reference, reference_se, band=None):
     exact moment) is judged by the band. Every other row passes when the gap
     is at most 4 times its SE, sqrt(se^2 + reference_se^2), which is 4 se
     against an exact reference (reference_se 0); a row whose SE is not
-    finite fails."""
+    finite fails. So does a row whose estimate or reference is not finite
+    (a null in a summary reads as NaN): its gap is inf or NaN."""
     gap = abs(estimate - reference)
     rel = gap / abs(reference) if reference != 0.0 else None
     if band is not None and rel is not None:
@@ -473,11 +483,11 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
             cf_refs.setdefault(s, (re, se))
     elif distances:
         # the Laplace moments k! (sigma^2/2)^(k/2) are |phi_base(k)| sigma^k
-        moment_refs = [(float(abs(phi_base(k))) * sigma**k, 0.0) for k in orders]
+        moment_refs = [(_scaled(abs(phi_base(k)), sigma, k), 0.0) for k in orders]
         cf_refs = {s: (float(distance_cf(s, n, offsets)), 0.0) for s, _re, _im in summary.ecf}
     else:
         table = _phi_table(max_order)
-        moment_refs = [(float(table.moment(k)) * sigma**k, 0.0) for k in orders]
+        moment_refs = [(_scaled(table.moment(k), sigma, k), 0.0) for k in orders]
 
     moment_rows = []
     for order, emp, se, (ref, ref_se) in zip(
@@ -486,15 +496,16 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
         # only an exact reference has relative bands
         band = None if args.baseline else tols.get(order, 0.60)
         _gap, rel, ok = _verdict(emp, se, ref, ref_se, band)
-        moment_rows.append({"order": order, "empirical": emp, "exact": ref, "relative_gap": rel,
-                            "se": se if math.isfinite(se) else None, "pass": ok})
+        moment_rows.append({"order": order, "empirical": finite_or_none(emp),
+                            "exact": finite_or_none(ref), "relative_gap": finite_or_none(rel),
+                            "se": finite_or_none(se), "pass": ok})
     cf_rows = []
     for (s, re, _im), se in zip(summary.ecf, summary.ecf_ses):
         if s in cf_refs:
             ref, ref_se = cf_refs[s]
             gap, _rel, ok = _verdict(re, se, ref, ref_se)
-            cf_rows.append({"s": s, "empirical": re, "analytic": ref, "gap": gap,
-                            "se": se if math.isfinite(se) else None, "pass": ok})
+            cf_rows.append({"s": s, "empirical": re, "analytic": finite_or_none(ref),
+                            "gap": finite_or_none(gap), "se": finite_or_none(se), "pass": ok})
 
     ks_block = None
     overlay = {
@@ -505,7 +516,7 @@ def cmd_compare(args: argparse.Namespace) -> CommandResult:
     }
     if distances:
         ks_block = {
-            "stat": summary.ks_laplace,
+            "stat": finite_or_none(summary.ks_laplace),
             "threshold": args.ks_threshold,
             "pass": summary.ks_laplace <= args.ks_threshold,
         }

@@ -157,6 +157,11 @@ def batch_means_se(series: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(n_batches))
 
 
+def finite_or_none(v):
+    """``v``, or None (JSON null) for a float that is not finite."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 @dataclass
 class EmpiricalSummary:
     """Bundle of time-averaged statistics of one observable of one run."""
@@ -174,23 +179,20 @@ class EmpiricalSummary:
     config: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        def clean(v: float):
-            return None if (isinstance(v, float) and not math.isfinite(v)) else v
-
         return {
             "schema_version": 1,
             "sample_count": self.sample_count,
-            "moments": [clean(m) for m in self.raw_moments],
+            "moments": [finite_or_none(m) for m in self.raw_moments],
             "histogram": {
                 "edges": self.histogram_edges.tolist(),
                 "counts": self.histogram_counts.tolist(),
             },
             "kde": {"grid": self.kde_grid.tolist(), "values": self.kde_values.tolist()},
             "ecf": [{"s": s, "re": re, "im": im} for s, re, im in self.ecf],
-            "ks_laplace": clean(self.ks_laplace),
+            "ks_laplace": finite_or_none(self.ks_laplace),
             "se": {
-                "moments": [clean(v) for v in self.moment_ses],
-                "ecf": [clean(v) for v in self.ecf_ses],
+                "moments": [finite_or_none(v) for v in self.moment_ses],
+                "ecf": [finite_or_none(v) for v in self.ecf_ses],
             },
             "config": self.config,
         }

@@ -22,20 +22,21 @@ resampling step: traced back from a frame, the lineages of the n particles
 coalesce as in Kingman's coalescent, after about (n-1)**2 moves, and after
 that only the moves of the one surviving lineage (about 1 in n) reach the
 frame. Before that, a stretch of g moves keeps a share of them that depends
-on g/n alone, (n/g) ln(1 + g/n): 0.40 at 4n, 0.18 at 16n. So ``run`` walks a
-long gap back from its frame, one block at a time (``lineage_moves``), and
-draws only the blocks the walk reaches. Each kept move reads the value the
-full loop would give it, so a walk that runs to the gap's start leaves the
-frame bit-identical to applying all moves. For centred observables a walk
-may stop as soon as one lineage is left (coupling from the past, Propp &
-Wilson 1996): the centred frame no longer depends on anything before that
-step.
+on g/n alone, (n/g) ln(1 + g/n): 0.40 at 4n, 0.18 at 16n. So ``run`` makes
+its frames one at a time, and decides for each frame's gap alone: a long gap
+is walked back from its frame, one block at a time (``lineage_moves``),
+drawing only the blocks the walk reaches; a short one is applied whole, in
+order. Each kept move reads the value the full loop would give it, so a walk
+that runs to the gap's start leaves the frame bit-identical to applying all
+moves. For centred observables a walk may stop as soon as one lineage is left
+(coupling from the past, Propp & Wilson 1996): the centred frame no longer
+depends on anything before that step.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,13 +297,17 @@ def run(config: SimConfig, centred: bool = False) -> Trajectory:
     run with steps=0 records exactly one frame. No block after the last
     frame's is drawn.
 
-    The gap of moves before each frame is cut down to its lineage moves if it
-    holds at least n**2 moves and n >= ``LINEAGE_MIN_PARTICLES``, or at least
-    ``SHORT_GAP * n`` = 4n moves and n >= ``SHORT_GAP_PARTICLES`` = 2**16;
-    every other gap is applied whole, its blocks drawn in ascending order.
-    A cut gap is walked back from its frame one block at a time, drawing only
-    the blocks the walk reaches, and its kept moves are then applied in
-    order. ``Trajectory.moves_applied`` counts the moves the loop applied.
+    Frames are made one at a time, each from the state the one before left,
+    by one rule on the gap of moves before it. A gap is cut down to its
+    lineage moves if it holds at least n**2 moves and n >=
+    ``LINEAGE_MIN_PARTICLES``, or at least ``SHORT_GAP * n`` = 4n moves and
+    n >= ``SHORT_GAP_PARTICLES`` = 2**16: it is walked back from its frame
+    one block at a time, drawing only the blocks the walk reaches, and its
+    kept moves are then applied in order. Every other gap is applied whole,
+    its blocks in ascending order. The last block drawn is kept, so frames
+    that share a block share its draw, and a run whose gaps are all applied
+    whole draws each block once. ``Trajectory.moves_applied`` counts the
+    moves the loop applied.
 
     With ``centred=False`` every walk runs to its gap's start, and every
     frame is bit-identical to applying all moves. With ``centred=True`` a
@@ -346,82 +351,50 @@ def run(config: SimConfig, centred: bool = False) -> Trajectory:
         shortest = n * n
         if n >= SHORT_GAP_PARTICLES:
             shortest = min(shortest, SHORT_GAP * n)
-    drawn = {}  # the last block drawn, by number
+    drawn = {}  # the last block drawn, by number: its arrays and their memoryviews
 
     def block(k: int) -> tuple:
         if k not in drawn:
             drawn.clear()
             rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
             ii, jj = draw_moves(rng, n, size)
-            drawn[k] = ii, jj, config.offsets.sample(rng, size)
+            moves = ii, jj, config.offsets.sample(rng, size)
+            drawn[k] = moves, [memoryview(v) for v in moves]
         return drawn[k]
 
-    def forward(moves, lo: int, hi: int, base: int = 0, frames: range = range(0)) -> None:
-        # moves lo..hi-1 of a block that starts at move `base`, or of a walk's
-        # kept moves, recording the frames that fall among them. memoryviews
+    def forward(views: list, lo: int, hi: int) -> None:
+        # moves lo..hi-1 of a block, or of a walk's kept moves. memoryviews
         # hand out Python ints and floats one at a time, faster than tolist()
-        views = [memoryview(v) for v in moves]
-        for f in [*frames, None]:
-            b = hi if f is None else schedule[f] - base
-            for i, j, d in zip(*(v[lo:b] for v in views)):
-                x[i] = x[j] + d
-            if f is not None:
-                positions[f] = x
-            lo = b
+        ii, jj, dd = views
+        for i, j, d in zip(ii[lo:hi], jj[lo:hi], dd[lo:hi]):
+            x[i] = x[j] + d
 
-    def chase(moves, lo: int, hi: int, live):
-        kept, live = lineage_moves(moves[0], moves[1], lo, hi, live)
-        return tuple(v[kept] for v in moves), live
-
-    def apply(pieces: list, f: int) -> None:
-        for piece in reversed(pieces):
-            forward(piece, 0, len(piece[0]))
+    applied = a = 0
+    for f, b in enumerate(schedule):  # the gap before frame f is moves a..b-1
+        blocks = range(a // size, -(-b // size))  # the blocks the gap touches
+        if b - a >= shortest:
+            live = np.ones(n, dtype=bool)
+            pieces = []  # views of each block's kept moves, last block first
+            for k in reversed(blocks):
+                base = k * size
+                moves = block(k)[0]
+                kept, live = lineage_moves(
+                    moves[0], moves[1], max(a, base) - base, min(b, base + size) - base, live
+                )
+                pieces.append([memoryview(v[kept]) for v in moves])
+                if centred and np.count_nonzero(live) == 1:
+                    coalesced[f] = True
+                    break
+            for piece in reversed(pieces):
+                applied += len(piece[0])
+                forward(piece, 0, len(piece[0]))
+        else:
+            for k in blocks:
+                base = k * size
+                forward(block(k)[1], max(a, base) - base, min(b, base + size) - base)
+            applied += b - a
         positions[f] = x
-
-    applied = 0
-
-    def walk(f: int) -> None:
-        nonlocal applied
-        a, b = (schedule[f - 1] if f else 0), schedule[f]
-        live = np.ones(n, dtype=bool)
-        pieces = []  # per block, last block first
-        k, hi = (b - 1) // size, b
-        while True:
-            base = k * size
-            lo = max(a, base)
-            piece, live = chase(block(k), lo - base, hi - base, live)
-            pieces.append(piece)
-            if centred and np.count_nonzero(live) == 1:
-                coalesced[f] = True
-                break
-            if lo == a:
-                break
-            k, hi = k - 1, base
-        applied += sum(len(piece[0]) for piece in pieces)
-        apply(pieces, f)
-
-    def whole(frames: range) -> None:
-        nonlocal applied
-        a = schedule[frames[0] - 1] if frames[0] else 0
-        end = schedule[frames[-1]]
-        for k in range(a // size, -(-end // size)):
-            base = k * size
-            inside = range(
-                bisect_right(schedule, base, frames.start, frames.stop),
-                bisect_right(schedule, base + size, frames.start, frames.stop),
-            )
-            forward(block(k), max(a, base) - base, min(end, base + size) - base, base, inside)
-        applied += end - a
-
-    # the burn-in's frame, then the rest, each gap the same length
-    for frames, gap in ((range(1), burn_in), (range(1, len(schedule)), config.thin)):
-        if not gap:
-            positions[0] = x
-        elif gap >= shortest:
-            for f in frames:
-                walk(f)
-        elif frames:
-            whole(frames)
+        a = b
     return Trajectory(
         config=config, times=np.array(schedule, dtype=np.int64), positions=positions,
         moves_applied=applied, centred=centred, coalesced=coalesced,

@@ -79,6 +79,21 @@ def test_moments_guard(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_moments_writes_a_value_past_the_float_range_as_null(tmp_path):
+    # 1e45**8 is past the float range: that row's JSON value is null, its CSV
+    # value inf, and an odd order's exact 0 stays 0
+    out = tmp_path / "m.json"
+    assert run_cli("moments", "--max-order", 8, "--sigma", 1e45, "--out", out) == 0
+    rows = read_json(out)["rows"]
+    assert rows[5]["value"] == pytest.approx(215 / 24 * 1e270)
+    assert rows[6]["value"] == 0.0
+    assert rows[7] == {"order": 8, "num": 102877, "den": 720, "value": None}
+    csv = tmp_path / "m.csv"
+    assert run_cli("moments", "--max-order", 8, "--sigma", 1e45, "--format", "csv",
+                   "--out", csv) == 0
+    assert csv.read_text().splitlines()[-1] == "8,102877,720,inf"
+
+
 def test_failed_json_payload_leaves_no_file(tmp_path):
     out = tmp_path / "p.json"
     with pytest.raises(ValueError):
@@ -685,6 +700,49 @@ def test_compare_positions_against_exact_moments(tmp_path):
     assert report["density_overlay"]["laplace"] is None
     assert report["density_overlay"]["mixture"] is None
     assert (code == 0) is report["pass"]
+
+
+def test_compare_fails_rows_past_the_float_range_and_writes_the_report(tmp_path):
+    # at sigma 1e60 the positions' sixth to eighth moments and the exact
+    # sixth and eighth overflow: the summary and the report hold them as null
+    summary = tmp_path / "p.json"
+    assert run_cli(
+        "simulate", "--particles", 5, "--sigma", 1e60, "--steps", 2000,
+        "--seed", 4, "--observe", "positions", "--out", summary,
+    ) == 0
+    assert read_json(summary)["moments"][5:] == [None, None, None]
+    report_path = tmp_path / "rep.json"
+    assert run_cli(
+        "compare", "--summary", summary, "--sigma", 1e60, "--n", 5, "--out", report_path
+    ) == 1
+    report = read_json(report_path)
+    rows = report["moments"]
+    assert [row["exact"] for row in rows[5:]] == [None, 0.0, None]
+    assert all(row["empirical"] is None and row["pass"] is False for row in rows[5:])
+    assert report["pass"] is False
+
+
+def test_compare_fails_null_summary_values_and_writes_the_report(tmp_path):
+    # a summary writes a moment or KS value that is not finite as null, and
+    # compare reads it back as NaN: its row fails, and the report is written
+    summary = tmp_path / "d.json"
+    assert run_cli(
+        "simulate", "--particles", 10, "--sigma", 0.1, "--steps", 20000,
+        "--seed", 3, "--out", summary,
+    ) == 0
+    data = read_json(summary)
+    data["moments"][1] = None
+    data["ks_laplace"] = None
+    summary.write_text(json.dumps(data))
+    report_path = tmp_path / "rep.json"
+    assert run_cli(
+        "compare", "--summary", summary, "--sigma", 0.1, "--n", 10, "--out", report_path
+    ) == 1
+    report = read_json(report_path)
+    row = report["moments"][1]
+    assert row["empirical"] is None and row["relative_gap"] is None and row["pass"] is False
+    assert report["ks"]["stat"] is None and report["ks"]["pass"] is False
+    assert report["pass"] is False
 
 
 def test_compare_rejects_raw_summaries(tmp_path):

@@ -650,7 +650,7 @@ def test_run_memory_is_bounded_by_the_output():
         assert peak < budget, f"thin={thin}: traced peak {peak} B over budget {budget} B"
 
 
-def test_run_frees_a_cut_down_batch_while_the_worker_lags(monkeypatch):
+def test_run_frees_a_walked_block_before_the_one_after_next(monkeypatch):
     # gaps of two blocks, each walked back a block at a time: each block must
     # be freed by the time the one after next is drawn
     size = simulator.LINEAGE_BLOCK
@@ -700,6 +700,55 @@ def test_draw_moves_indices_are_narrow_and_equal_an_int64_replay(n, dtype):
     np.testing.assert_array_equal(ii.astype(np.int64), ref_i)
     np.testing.assert_array_equal(jj.astype(np.int64), ref_j)
     np.testing.assert_array_equal(dd, dist.sample(rng, 10_000))
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("gaussian", "a22c2326dd5a4faf1915ea1018c132ed191d5fbb6dd82cbae3c57d39bcae6f00"),
+        ("uniform", "e69c6534800dd62366e2af9012c83ef48bea91e5857bbc9b85b3e161103f7f5b"),
+        ("two_point", "52f8679990e457b7320ae1aff27cc8f6eb687672b702913afde56b72fcb5f6ff"),
+    ],
+)
+def test_block_zero_draws_are_pinned(kind, digest):
+    # block 0 of seed 2024 at n = 100, drawn as ``run`` draws it. numpy does
+    # not promise its Generator streams across versions (NEP 19), so a
+    # stream change fails here by name, not only as a moved trajectory digest
+    size = simulator.LINEAGE_BLOCK
+    rng = np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(0,)))
+    ii, jj, dd = _draw(rng, 100, offsets.OffsetDistribution(kind, 0.1), size)
+    h = hashlib.sha256()
+    for v in (ii, jj, dd.astype("<f8")):
+        h.update(v.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "n, steps, burn_in, thin, blocks",
+    [
+        (100, 1_000_000, 10_000, 100, 16),  # the pipeline-n100 workload's run
+        (5, 350_000, None, 7, 6),
+    ],
+)
+def test_whole_gaps_draw_each_block_once(monkeypatch, n, steps, burn_in, thin, blocks):
+    # consecutive frames in one block share its draw, so a run whose gaps
+    # are applied whole draws blocks 0, 1, 2, ... once each, in order. The
+    # pipeline run's burn-in of n**2 moves is walked back within block 0,
+    # which its first whole gap reuses
+    draw, keys = simulator.draw_moves, []
+
+    def draw_moves(rng, *args):
+        keys.append(rng.bit_generator.seed_seq.spawn_key)
+        return draw(rng, *args)
+
+    monkeypatch.setattr(simulator, "draw_moves", draw_moves)
+    config = simulator.SimConfig(
+        n_particles=n, offsets=offsets.gaussian(0.1), steps=steps, burn_in=burn_in,
+        seed=6, thin=thin,
+    )
+    trajectory = simulator.run(config, centred=True)
+    assert trajectory.moves_applied >= trajectory.times[-1] - trajectory.times[0]
+    assert keys == [(k,) for k in range(blocks)]
 
 
 def _failing_draws(monkeypatch, fail_at, make_error):

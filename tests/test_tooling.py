@@ -159,6 +159,18 @@ def test_cli_import_leaves_the_executor_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_readme_library_snippet_runs():
+    # the python block under README "## Library", run as a reader would run it
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "102877/720"
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_module_uses_every_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
