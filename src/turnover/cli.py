@@ -2,12 +2,12 @@
 empirical-vs-analytic comparison reports, all as plot-ready CSV/JSON.
 
 Every command writes a run manifest next to its outputs (the parsed flags,
-seed, code version, python / numpy / platform versions, timestamps, content
-digests; for ``simulate`` also the wall time of each phase and the peak
-RSS). Payload files themselves carry no timestamps, so rerunning a
-command with the same flags and seed reproduces them byte for byte. JSON is
-the canonical format; CSV cells use Python's shortest round-trip float
-representation.
+seed, code version, python / numpy / platform versions, timestamps, the
+process's CPU time, content digests; for ``simulate`` also the wall time of
+each phase and the peak RSS). Payload files themselves carry no timestamps,
+so rerunning a command with the same flags and seed reproduces them byte for
+byte. JSON is the canonical format; CSV cells use Python's shortest
+round-trip float representation.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ import os
 import platform
 import sys
 import time
+
+# the package calls no BLAS routine, so OpenBLAS needs no second thread
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -225,28 +228,30 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
         pad = max(1e-12, 0.05 * (hi - lo))
         hist_range = (lo - pad, hi + pad)
 
-    summary = summarize(
-        frames,
-        args.sigma,
-        max_order=args.max_order,
-        ecf_points=ecf_points,
-        bins=args.bins,
-        hist_range=hist_range,
-        bandwidth=bandwidth,
-        kde_points=args.kde_points,
-        config={
-            "observable": args.observe,
-            "n_particles": args.particles,
-            "sigma": args.sigma,
-            "offset": offsets.kind,
-            "steps": args.steps,
-            "burn_in": config.resolved_burn_in,
-            "seed": args.seed,
-            "thin": thin,
-            "init": config.init,
-            "n_frames": trajectory.n_frames,
-        },
-    )
+    # moments past the float range are written as null, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = summarize(
+            frames,
+            args.sigma,
+            max_order=args.max_order,
+            ecf_points=ecf_points,
+            bins=args.bins,
+            hist_range=hist_range,
+            bandwidth=bandwidth,
+            kde_points=args.kde_points,
+            config={
+                "observable": args.observe,
+                "n_particles": args.particles,
+                "sigma": args.sigma,
+                "offset": offsets.kind,
+                "steps": args.steps,
+                "burn_in": config.resolved_burn_in,
+                "seed": args.seed,
+                "thin": thin,
+                "init": config.init,
+                "n_frames": trajectory.n_frames,
+            },
+        )
 
     summarized = time.perf_counter()
     out = _resolve(args.out)
@@ -675,6 +680,8 @@ def main(argv: list[str] | None = None) -> int:
                 "environment": _environment(),
                 "started_utc": started,
                 "finished_utc": _utcnow(),
+                # start-up included, and every thread's time, not only this one's
+                "process_cpu_s": time.process_time(),
                 "outputs": [
                     {
                         "path": os.path.basename(p),

@@ -722,6 +722,22 @@ def test_compare_fails_rows_past_the_float_range_and_writes_the_report(tmp_path)
     assert report["pass"] is False
 
 
+def test_simulate_past_the_float_range_writes_no_warnings(tmp_path):
+    # the summary writes its overflowed moments and SEs as null, so numpy's
+    # overflow and invalid-value warnings on the way are only noise
+    done = subprocess.run(
+        [sys.executable, "-m", "turnover.cli", "simulate", "--particles", "5",
+         "--sigma", "1e60", "--steps", "2000", "--seed", "4", "--observe", "positions",
+         "--out", str(tmp_path / "p.json")],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    # the payload as it was written while the warnings still showed
+    assert hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest() == (
+        "9eebcbcbcea5fbed7996d87a9322128546c6916f158b40a9845883301e9090ad"
+    )
+
+
 def test_compare_fails_null_summary_values_and_writes_the_report(tmp_path):
     # a summary writes a moment or KS value that is not finite as null, and
     # compare reads it back as NaN: its row fails, and the report is written
@@ -802,11 +818,12 @@ def test_manifest_of_every_command(tmp_path, command):
     manifest = read_json(manifest_path)
     keys = {
         "schema_version", "command", "argv", "config", "seed", "code_version",
-        "environment", "started_utc", "finished_utc", "outputs",
+        "environment", "started_utc", "finished_utc", "process_cpu_s", "outputs",
     }
     if command in ("simulate", "moments"):
         keys.add("phases")
     assert set(manifest) == keys
+    assert manifest["process_cpu_s"] > 0
     assert manifest["command"] == command
     assert manifest["seed"] == (9 if command == "simulate" else None)
     assert [entry["path"] for entry in manifest["outputs"]] == (

@@ -2,8 +2,9 @@
 methods by name and reads their arguments in its attribute hooks; a rename or
 deletion in the package would break traced benchmark runs without failing any
 other test. The benchmark also times each command's start-up, so what
-importing the CLI loads is checked here too, and so is every import that a
-package module makes and never uses."""
+importing the package and the CLI loads, and how many threads it starts, is
+checked here too, and so is every import that a package module makes and
+never uses."""
 
 import ast
 import importlib
@@ -147,28 +148,81 @@ def test_summarize_calls_traced_names_on_the_calling_thread(monkeypatch):
     assert all(idents == {threading.get_ident()} for idents in threads.values()), threads
 
 
+def _fresh(code: str, **env: str) -> list[str]:
+    """The stdout lines of ``code`` run in a fresh interpreter on this
+    checkout's package, with ``env`` over the environment this one has
+    without ``OPENBLAS_NUM_THREADS`` (which importing the CLI here has set)."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(base, PYTHONPATH=str(ROOT / "src"), **env), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
 def test_cli_import_leaves_the_executor_unloaded():
     # concurrent.futures pulls in logging; only `summarize` imports it, itself,
     # so neither the other commands nor the benchmark's setup_s pay for it
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, turnover.cli; print('concurrent.futures' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+    assert _fresh("import sys, turnover.cli; print('concurrent.futures' in sys.modules)") == [
+        "False"
+    ]
+
+
+def test_package_import_leaves_numpy_unloaded():
+    assert _fresh("import sys, turnover; print('numpy' in sys.modules)") == ["False"]
+
+
+def test_cli_runs_openblas_on_one_thread():
+    # numpy's OpenBLAS would start a second thread that the package, which
+    # calls no BLAS routine, never uses
+    lines = _fresh(
+        "import os, sys, turnover.cli\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "if sys.platform == 'linux':\n"
+        "    print(len(os.listdir('/proc/self/task')))"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert lines == (["1", "1"] if sys.platform == "linux" else ["1"])
+
+
+def test_cli_keeps_the_callers_openblas_threads():
+    code = "import os, turnover.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(code, OPENBLAS_NUM_THREADS="3") == ["3"]
+
+
+def test_package_names_resolve_after_a_bare_import():
+    submodules = ("charfn", "empirical", "moments", "offsets", "simulator")
+    lines = _fresh(
+        "import turnover\n"
+        "for name in turnover.__all__:\n"
+        "    getattr(turnover, name)\n"
+        f"print(*(getattr(turnover, name).__name__ for name in {submodules}))"
+    )
+    assert lines == [" ".join(f"turnover.{name}" for name in submodules)]
+
+
+def test_star_import_binds_every_public_name():
+    lines = _fresh(
+        "import turnover\n"
+        "namespace = {}\n"
+        "exec('from turnover import *', namespace)\n"
+        "print(sorted(set(turnover.__all__) - set(namespace)))"
+    )
+    assert lines == ["[]"]
+
+
+def test_package_refuses_an_unknown_name():
+    import turnover
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(turnover, "no_such_name")
 
 
 def test_readme_library_snippet_runs():
     # the python block under README "## Library", run as a reader would run it
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "102877/720"
+    assert _fresh(code)[-1] == "102877/720"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -183,14 +237,5 @@ def test_package_module_uses_every_import(path):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    if path.name == "__init__.py":
-        # the package's imports are its re-exports
-        used |= {
-            elt.value
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-            for elt in node.value.elts
-        }
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name} imports and never uses {unused}"
