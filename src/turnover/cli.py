@@ -219,7 +219,18 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
     # only raw values need every walk to reach its gap's start
     trajectory = run(config, centred=args.observe != "raw" and not args.trajectory_out)
     ran = time.perf_counter()
+    run_peak_rss_mb = _peak_rss_mb()
     frames = trajectory.observable(args.observe)
+    n_frames = trajectory.n_frames
+    counts = {
+        "moves_applied": trajectory.moves_applied,
+        "frames_coalesced": int(trajectory.coalesced.sum()),
+        "burn_in_coalesced": bool(trajectory.coalesced[0]),
+    }
+    if not args.trajectory_out:
+        # the summary needs only the frames, so the positions go before it
+        # runs (raw frames are the positions themselves)
+        del trajectory
 
     hist_range = None
     if args.observe == "raw":
@@ -249,7 +260,7 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
                 "seed": args.seed,
                 "thin": thin,
                 "init": config.init,
-                "n_frames": trajectory.n_frames,
+                "n_frames": n_frames,
             },
         )
 
@@ -277,10 +288,9 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
         "run_s": ran - clock,
         "summarize_s": summarized - ran,
         "write_s": time.perf_counter() - summarized,
+        "run_peak_rss_mb": run_peak_rss_mb,
         "peak_rss_mb": _peak_rss_mb(),
-        "moves_applied": trajectory.moves_applied,
-        "frames_coalesced": int(trajectory.coalesced.sum()),
-        "burn_in_coalesced": bool(trajectory.coalesced[0]),
+        **counts,
     }
     return outputs, 0, {"phases": phases}
 

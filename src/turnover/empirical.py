@@ -27,6 +27,10 @@ from .offsets import check_count, check_scale
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 # kernel reach in bandwidths, both for the KDE window and for the grid margin
 _KDE_REACH = 8.0
+# samples per pass of kde's and ks_laplace's elementwise steps: a chunk's
+# temporaries stay in cache, and no buffer but the sorted copy and the KDE
+# kernel grows with the sample
+_CHUNK = 8192
 
 
 def _powers(samples: np.ndarray, max_order: int):
@@ -56,14 +60,14 @@ def _moment_sums(frames: np.ndarray, max_order: int) -> list:
 def _ecf_sums(frames: np.ndarray, ecf_points) -> list:
     """One ((s, mean cos(s x), mean sin(s x)), per-frame mean of cos(s x))
     pair for each s, over a (n_frames, width) array."""
+    # one frame-sized buffer: s*x takes its sine in place, then is formed
+    # again (the same product) to take its cosine for the ECF and its SE series
     sx = np.empty_like(frames)
-    sines = np.empty_like(frames)
     cosines = []
     for s in ecf_points:
-        # s*x serves the sine, then holds the cosines for the ECF and its
-        # SE series
         np.multiply(s, frames, out=sx)
-        sin_mean = float(np.sin(sx, out=sines).ravel().mean())
+        sin_mean = float(np.sin(sx, out=sx).ravel().mean())
+        np.multiply(s, frames, out=sx)
         np.cos(sx, out=sx)
         cosines.append(((float(s), float(sx.mean()), sin_mean), sx.mean(axis=1)))
     return cosines
@@ -101,13 +105,21 @@ def kde(samples: np.ndarray, bandwidth: float, grid: np.ndarray) -> np.ndarray:
     starts = np.searchsorted(x, grid - reach, side="left")
     stops = np.searchsorted(x, grid + reach, side="right")
     out = np.empty_like(grid)
+    # exp(-0.5 * z * z), z = (y - x) / h, formed chunk by chunk into one
+    # kernel buffer as wide as the widest window, then summed over the window
+    # at once: the same float steps and the same pairwise sum as one pass
+    kernel = np.empty(int((stops - starts).max(initial=0)))
+    z = np.empty(min(_CHUNK, kernel.size))
     for k, (y, a, b) in enumerate(zip(grid, starts, stops)):
-        # exp(-0.5 * z * z), z = (y - x) / h, in two window buffers
-        z = np.subtract(y, x[a:b])
-        z /= bandwidth
-        w = np.multiply(-0.5, z)
-        w *= z
-        out[k] = np.exp(w, out=w).sum()
+        for c in range(a, b, _CHUNK):
+            e = min(c + _CHUNK, b)
+            zc, w = z[: e - c], kernel[c - a : e - a]
+            np.subtract(y, x[c:e], out=zc)
+            zc /= bandwidth
+            np.multiply(-0.5, zc, out=w)
+            w *= zc
+            np.exp(w, out=w)
+        out[k] = kernel[: b - a].sum()
     return out / (x.size * bandwidth * _SQRT2PI)
 
 
@@ -127,19 +139,17 @@ def ks_laplace(samples: np.ndarray, sigma: float) -> float:
     if x.size == 0:
         raise ValueError("ks_laplace needs at least one sample")
     n = x.size
-    cdf = laplace_cdf(x, sigma)
-    del x
-    # the empirical CDF's steps i/n and (i - 1)/n, i = 1..n, each built in one
-    # float buffer that then takes its gap to the Laplace CDF
-    gap = np.arange(1, n + 1, dtype=float)
-    gap /= n
-    gap -= cdf
-    d_plus = gap.max()
-    del gap
-    gap = np.arange(0, n, dtype=float)
-    gap /= n
-    d_minus = np.subtract(cdf, gap, out=gap).max()
-    return float(max(d_plus, d_minus))
+    # per chunk of sorted samples, the largest gaps between the Laplace CDF
+    # and the empirical CDF's steps i/n and (i - 1)/n; np.max of the chunk
+    # maxima keeps a NaN, which Python's max may drop
+    maxima = []
+    for a in range(0, n, _CHUNK):
+        b = min(a + _CHUNK, n)
+        cdf = laplace_cdf(x[a:b], sigma)
+        steps = np.arange(a, b + 1) / n
+        maxima.append((steps[1:] - cdf).max())
+        maxima.append((cdf - steps[:-1]).max())
+    return float(np.max(maxima))
 
 
 def batch_means_se(series: np.ndarray) -> float:

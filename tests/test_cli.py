@@ -4,6 +4,7 @@ import math
 import platform
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -283,13 +284,13 @@ def test_simulate_deterministic_and_manifest(tmp_path):
         assert env["platform"] == platform.platform()
     # per-phase costs go in the manifest, never in the payload
     phases = manifest["phases"]
-    assert set(phases) == {"run_s", "summarize_s", "write_s", "peak_rss_mb", "moves_applied",
-                           "frames_coalesced", "burn_in_coalesced"}
+    assert set(phases) == {"run_s", "summarize_s", "write_s", "run_peak_rss_mb", "peak_rss_mb",
+                           "moves_applied", "frames_coalesced", "burn_in_coalesced"}
     applied = phases.pop("moves_applied")
     # n = 10 applies every gap whole, so no walk ends with one lineage
     assert phases.pop("frames_coalesced") == 0 and phases.pop("burn_in_coalesced") is False
     assert all(isinstance(v, float) and v >= 0 for v in phases.values())
-    assert phases["peak_rss_mb"] > 0
+    assert 0 < phases["run_peak_rss_mb"] <= phases["peak_rss_mb"]
     assert "phases" not in read_json(out1)
     assert isinstance(applied, int) and 0 < applied <= 1000 + 5000
 
@@ -367,6 +368,33 @@ def test_simulate_trajectory_exports(tmp_path):
     wide_last = [float(v) for v in lines[-1].split(",")[1:]]
     long_last = [float(line.split(",")[2]) for line in long_csv.read_text().strip().splitlines()[-3:]]
     assert wide_last == long_last
+
+
+@pytest.mark.parametrize("export", [False, True], ids=["summary-only", "trajectory-out"])
+def test_simulate_frees_the_positions_before_summarising(tmp_path, monkeypatch, export):
+    positions, alive = [], []
+    real_run, real_summarize = cli.run, cli.summarize
+
+    def run(*args, **kwargs):
+        trajectory = real_run(*args, **kwargs)
+        positions.append(weakref.ref(trajectory.positions))
+        return trajectory
+
+    def summarize(*args, **kwargs):
+        alive.append(positions[0]() is not None)
+        return real_summarize(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", run)
+    monkeypatch.setattr(cli, "summarize", summarize)
+    csv = tmp_path / "t.csv"
+    export_args = ["--trajectory-out", csv] if export else []
+    assert run_cli(
+        "simulate", "--particles", 20, "--sigma", 0.1, "--steps", 2000, "--seed", 4,
+        "--observe", "distances", "--out", tmp_path / "s.json", *export_args,
+    ) == 0
+    # the CSV export still reads the positions after the summary
+    assert alive == [export]
+    assert csv.exists() == export
 
 
 def test_simulate_raw_observable_histogram_covers_samples(tmp_path):

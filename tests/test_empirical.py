@@ -188,6 +188,59 @@ def test_ks_matches_scipy_oracle():
     assert ours == pytest.approx(ref, abs=1e-12)
 
 
+def _kde_one_shot(samples, bandwidth, grid):
+    """kde with each window's kernel formed in one pass, no chunks."""
+    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    reach = 8.0 * bandwidth
+    starts = np.searchsorted(x, grid - reach, side="left")
+    stops = np.searchsorted(x, grid + reach, side="right")
+    out = np.empty_like(grid)
+    for k, (y, a, b) in enumerate(zip(grid, starts, stops)):
+        z = np.subtract(y, x[a:b])
+        z /= bandwidth
+        w = np.multiply(-0.5, z)
+        w *= z
+        out[k] = np.exp(w, out=w).sum()
+    return out / (x.size * bandwidth * math.sqrt(2.0 * math.pi))
+
+
+def _ks_one_shot(samples, sigma):
+    """ks_laplace over whole-sample CDF and step buffers, no chunks."""
+    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    n = x.size
+    cdf = charfn.laplace_cdf(x, sigma)
+    d_plus = (np.arange(1, n + 1, dtype=float) / n - cdf).max()
+    d_minus = (cdf - np.arange(0, n, dtype=float) / n).max()
+    return float(max(d_plus, d_minus))
+
+
+@pytest.mark.parametrize("width", [1, 8191, 8192, 8193, 3 * 8192 + 5])
+def test_kde_equals_one_shot_at_chunk_edges(width):
+    assert empirical._CHUNK == 8192
+    rng = np.random.default_rng(width)
+    # grid point 0 sees the `width` samples in [-1, 1] and grid point 100 the
+    # far ones, so the second window starts off a chunk boundary; grid point
+    # 200 sees none
+    samples = np.concatenate([rng.uniform(-1, 1, width), rng.uniform(99.5, 100.5, 1000)])
+    grid = np.array([0.0, 100.0, 200.0])
+    assert np.searchsorted(np.sort(samples), 4.0) == width
+    assert np.array_equal(empirical.kde(samples, 0.5, grid), _kde_one_shot(samples, 0.5, grid))
+
+
+@pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 16384, 16385, 3 * 8192 + 5])
+def test_ks_equals_one_shot_around_chunk_multiples(count):
+    assert empirical._CHUNK == 8192
+    x = np.random.default_rng(count).laplace(0.0, 0.3, count)
+    assert empirical.ks_laplace(x, 0.5) == _ks_one_shot(x, 0.5)
+
+
+def test_ks_keeps_a_nan_in_a_later_chunk():
+    x = np.random.default_rng(12).laplace(0.0, 0.3, 2 * empirical._CHUNK + 3)
+    x[7] = np.nan
+    assert math.isnan(empirical.ks_laplace(x, 0.5))
+    assert math.isnan(_ks_one_shot(x, 0.5))
+
+
 def test_ks_validation():
     with pytest.raises(ValueError):
         empirical.ks_laplace(np.array([1.0]), 0.0)
@@ -325,10 +378,10 @@ def test_summary_peak_memory_is_bounded_by_frame_multiples():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # both threads' buffers at once: the KS sort and its CDF and step buffers
-    # beside the ECF's two s*x buffers, about 4.2 frames; a clipped copy for
-    # the histogram and fresh ECF and KS temporaries would take it past 7
-    assert peak < 6.5 * frames.nbytes
+    # both threads' buffers at once: the calling thread's sorted copy and the
+    # widest KDE window beside the worker's one power or ECF buffer, about 2.9
+    # frames; one more window-, CDF- or s*x-sized buffer adds up to a frame
+    assert peak < 3.2 * frames.nbytes
 
 
 def _record_threads(monkeypatch, names):
