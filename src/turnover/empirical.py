@@ -6,16 +6,14 @@ pairwise sums); standard errors of time averages are estimated by batch means
 over frames, which absorbs the autocorrelation of the chain. The analytic
 laws the samples are judged against live in ``charfn``.
 
-``summarize`` runs on two threads. One executor thread forms the sample
-powers and the sines and cosines of the ECF and returns their sums and
-per-frame series, while the calling thread builds the histogram, the KDE and
-the KS statistic. numpy releases the GIL inside its loops, so the two halves
-overlap on two cores; every value is the one a single thread computes.
+``summarize`` runs on the calling thread alone. It builds the histogram, the
+KDE and the KS statistic, then forms the sample powers and the sines and
+cosines of the ECF with their per-frame series, then takes the batch-means
+SEs of those series.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass, field
 
@@ -214,10 +212,11 @@ class EmpiricalSummary:
         ``ValueError``; a missing key raises ``KeyError``."""
 
         def numbers(values, key, null=float("nan")):
-            # a null moment, SE or KS value reads as NaN; an ECF value has no null
+            # a null moment, SE or KS value reads as NaN; an ECF value has no
+            # null. JSON true and false read as bools, which are ints too
             values = [null if v is None else v for v in values]
             for v in values:
-                if not isinstance(v, (int, float)):
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ValueError(f"{key} value {v!r} is not a number")
             return values
 
@@ -240,18 +239,6 @@ class EmpiricalSummary:
         return summary
 
 
-def _frame_sums(frames: np.ndarray, max_order: int, ecf_points) -> tuple[list, list]:
-    """The moment and ECF halves of ``summarize``, with their per-frame series:
-    the sums that ``accumulate_moments`` and ``empirical_cf`` take of one frame.
-
-    It runs on summarize's worker thread, so it calls nothing that the
-    benchmark's tracer wraps: the tracer keeps one span stack for the process,
-    and a traced call from here would nest in whatever span the calling thread
-    has open.
-    """
-    return _moment_sums(frames, max_order), _ecf_sums(frames, ecf_points)
-
-
 def summarize(
     frames: np.ndarray,
     sigma: float,
@@ -272,20 +259,12 @@ def summarize(
     bandwidths, so the estimated density carries all its mass inside the grid
     span (the same 8-bandwidth reach at which kde truncates its kernel).
 
-    The arguments are checked first. Then one executor thread computes the
-    sample powers and the ECF's sines and cosines (``_frame_sums``) while
-    this thread builds the histogram, the KDE and the KS statistic; after the
-    join, this thread takes the batch-means SEs of the worker's series. kde,
-    ks_laplace and batch_means_se are called only from this thread, where the
-    benchmark's tracer nests their spans in summarize's. The worker runs in a
-    copy of this thread's context, so a ``np.errstate`` around the call holds
-    there too. A failure on the worker is re-raised here through its future,
-    and the worker is joined on every exit path.
+    Everything runs on the calling thread, in this order: the argument
+    checks; the histogram, the KDE grid, the KDE and the KS statistic; the
+    sample powers and the ECF's sines and cosines with their per-frame
+    series; the batch-means SEs of those series. So a NaN sample fails in
+    kde before any power or ECF sum is formed.
     """
-    # imported here, not at the top: it pulls in logging, which no other
-    # command needs at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
     frames = np.atleast_2d(np.asarray(frames, dtype=float))
     if frames.size == 0:
         raise ValueError("summarize needs at least one frame")
@@ -301,27 +280,23 @@ def summarize(
         raise ValueError(f"hist_range must be two finite numbers, lo <= hi, got {hist_range!r}")
     flat = frames.ravel()
 
-    with ThreadPoolExecutor(1) as worker:
-        sums = worker.submit(
-            contextvars.copy_context().run, _frame_sums, frames, max_order, ecf_points
-        )
+    edges = np.linspace(lo, hi, bins + 1)
+    counts, _ = np.histogram(flat, bins=edges)
+    # a sample outside the range counts where the range end it is clipped to
+    # counts: the first or the last bin. Every edge of a one-point range is
+    # lo, which np.histogram counts in the last bin
+    counts[0 if lo < hi else -1] += np.count_nonzero(flat < lo)
+    counts[-1] += np.count_nonzero(flat > hi)
 
-        edges = np.linspace(lo, hi, bins + 1)
-        counts, _ = np.histogram(flat, bins=edges)
-        # a sample outside the range counts where the range end it is
-        # clipped to counts: the first or the last bin. Every edge of a
-        # one-point range is lo, which np.histogram counts in the last bin
-        counts[0 if lo < hi else -1] += np.count_nonzero(flat < lo)
-        counts[-1] += np.count_nonzero(flat > hi)
-
-        grid = np.linspace(
-            min(lo, float(flat.min()) - _KDE_REACH * h),
-            max(hi, float(flat.max()) + _KDE_REACH * h),
-            kde_points,
-        )
-        values = kde(flat, h, grid)
-        ks = ks_laplace(flat, sigma)
-        moments, cosines = sums.result()
+    grid = np.linspace(
+        min(lo, float(flat.min()) - _KDE_REACH * h),
+        max(hi, float(flat.max()) + _KDE_REACH * h),
+        kde_points,
+    )
+    values = kde(flat, h, grid)
+    ks = ks_laplace(flat, sigma)
+    moments = _moment_sums(frames, max_order)
+    cosines = _ecf_sums(frames, ecf_points)
 
     return EmpiricalSummary(
         sample_count=int(flat.size),

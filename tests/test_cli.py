@@ -681,6 +681,33 @@ def test_compare_rejects_files_that_are_not_summaries(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_compare_rejects_boolean_summary_values(tmp_path, capsys):
+    # JSON true and false load as Python bools, which are ints; read as
+    # numbers they would reach the report as true or false
+    summary = tmp_path / "d.json"
+    assert run_cli(
+        "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 1000,
+        "--seed", 4, "--out", summary,
+    ) == 0
+    data = read_json(summary)
+    report = tmp_path / "rep.json"
+    for name, content, message in (
+        ("mv.json", dict(data, moments=[True, *data["moments"][1:]]), "moments value True"),
+        ("sm.json", dict(data, se=dict(data["se"], moments=[False, *data["se"]["moments"][1:]])),
+         "se.moments value False"),
+        ("e.json", dict(data, ecf=[dict(data["ecf"][0], re=True), *data["ecf"][1:]]),
+         "ecf value True"),
+        ("k.json", dict(data, ks_laplace=False), "ks_laplace value False"),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(content))
+        capsys.readouterr()
+        assert run_cli("compare", "--summary", path, "--sigma", 0.1, "--n", 5, "--out", report) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not report.exists()
+
+
 def test_compare_positions_keeps_the_order_guard(tmp_path, monkeypatch, capsys):
     summary = tmp_path / "p.json"
     assert run_cli(

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -339,9 +338,9 @@ def test_summary_histogram_counts_outside_samples_as_clipped():
 
 
 def test_summary_rejects_a_bad_hist_range(monkeypatch):
-    # checked before the worker starts, with a message that names the range
+    # checked before any sum is formed, with a message that names the range
     started = []
-    monkeypatch.setattr(empirical, "_frame_sums", lambda *args: started.append(args))
+    monkeypatch.setattr(empirical, "_moment_sums", lambda *args: started.append(args))
     frames = np.random.default_rng(15).laplace(0.0, 1.0, (4, 50))
     for hist_range in ((math.nan, 1.0), (-math.inf, 1.0), (1.0, -1.0)):
         with pytest.raises(ValueError, match="hist_range"):
@@ -363,8 +362,6 @@ def _pinned_frames():
     ids=["default", "clipped-histogram"],
 )
 def test_summary_json_matches_pinned_digest(kw, digest):
-    # taken from summarize when it ran on one thread: splitting it across two
-    # changes no bit of the payload
     summary = empirical.summarize(_pinned_frames(), 0.1, **kw)
     text = json.dumps(summary.to_json_dict(), sort_keys=True, allow_nan=False)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -378,10 +375,10 @@ def test_summary_peak_memory_is_bounded_by_frame_multiples():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # both threads' buffers at once: the calling thread's sorted copy and the
-    # widest KDE window beside the worker's one power or ECF buffer, about 2.9
-    # frames; one more window-, CDF- or s*x-sized buffer adds up to a frame
-    assert peak < 3.2 * frames.nbytes
+    # one sorted copy plus the widest KDE window, or one power or s*x buffer,
+    # never both at once: about 1.7 frames. A buffer held across both halves
+    # adds up to a frame
+    assert peak < 2.0 * frames.nbytes
 
 
 def _record_threads(monkeypatch, names):
@@ -416,6 +413,7 @@ def test_summary_checks_max_order_before_starting_the_worker(monkeypatch):
 
 
 def test_summary_reraises_a_worker_failure_and_joins_it(monkeypatch):
+    # a failure in the moment sums reaches the caller, and no thread is left
     def failing(samples, max_order):
         raise RuntimeError("worker failed")
         yield  # a generator, as _powers is
@@ -427,29 +425,31 @@ def test_summary_reraises_a_worker_failure_and_joins_it(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_summary_kde_failure_still_joins_the_worker(monkeypatch):
-    finished = []
-    frame_sums = empirical._frame_sums
-
-    def slow(*args):
-        # still running when kde raises on the calling thread
-        time.sleep(0.2)
-        result = frame_sums(*args)
-        finished.append(threading.get_ident())
-        return result
-
-    monkeypatch.setattr(empirical, "_frame_sums", slow)
+def test_summary_fails_on_a_nan_before_forming_any_sum(monkeypatch):
+    sums = _record_threads(monkeypatch, ["_moment_sums", "_ecf_sums"])
     frames = np.zeros((8, 5))
     frames[3, 2] = np.nan
-    threads = threading.active_count()
     with pytest.raises(ValueError, match="NaN"):
         empirical.summarize(frames, 1.0)
-    assert len(finished) == 1 and finished[0] != threading.get_ident()
-    assert threading.active_count() == threads
+    assert sums == []
+
+
+def test_summary_starts_no_thread(monkeypatch):
+    seen = []
+    ecf_sums = empirical._ecf_sums
+
+    def recorded(*args):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return ecf_sums(*args)
+
+    monkeypatch.setattr(empirical, "_ecf_sums", recorded)
+    caller = threading.get_ident(), threading.active_count()
+    _toy_summary()
+    assert seen == [caller]
 
 
 def test_summary_worker_keeps_the_callers_errstate():
-    # only the sample powers overflow, and they are formed on the worker
+    # only the sample powers overflow, and the caller's errstate holds there
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
             empirical.summarize(np.full((4, 3), 1e200), 0.1)

@@ -58,8 +58,8 @@ def test_method_targets_resolve(target):
             {"simulator.run", "simulator.draw_moves", "offsets.sample",
              "empirical.summarize", "empirical.kde"},
             # the draws run on the calling thread, directly in the run's span;
-            # the KDE and KS run there too, in the summary's span, while its
-            # worker forms the moment and ECF sums
+            # the KDE and KS run there too, in the summary's span, before it
+            # forms the moment and ECF sums itself
             {"simulator.draw_moves": "simulator.run", "offsets.sample": "simulator.run",
              "empirical.kde": "empirical.summarize",
              "empirical.ks_laplace": "empirical.summarize"},
@@ -125,9 +125,8 @@ def test_centred_chain_draws_only_the_blocks_its_walks_reach(monkeypatch):
 
 
 def test_summarize_calls_traced_names_on_the_calling_thread(monkeypatch):
-    # the tracer keeps one span stack for the process, so a traced name that
-    # summarize's worker called would nest in whatever span this thread has
-    # open; the worker's sums must reach none of them
+    # the tracer keeps one span stack for the process, so a traced name called
+    # off this thread would nest in whatever span this thread has open
     import numpy as np
 
     from turnover import empirical
@@ -148,6 +147,29 @@ def test_summarize_calls_traced_names_on_the_calling_thread(monkeypatch):
     assert all(idents == {threading.get_ident()} for idents in threads.values()), threads
 
 
+def test_cli_commands_start_no_thread(tmp_path, monkeypatch):
+    # the benchmark's "Load" section says nothing runs in parallel: every
+    # command must finish with no Python thread started
+    from turnover import cli
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    summary, report = str(tmp_path / "d.json"), tmp_path / "rep.json"
+    for argv in (
+        ["simulate", "--particles", "5", "--sigma", "0.1", "--steps", "500",
+         "--seed", "1", "--out", summary],
+        ["moments", "--max-order", "6", "--out", str(tmp_path / "m.json")],
+        ["cf", "--mode", "phiN", "--n", "4", "--sigma", "0.1", "--grid", "0:5:3",
+         "--out", str(tmp_path / "phi.csv")],
+    ):
+        assert cli.main(argv) == 0, argv
+    # exit 1 is a failed verdict, which 500 steps may give: the report is written
+    argv = ["compare", "--summary", summary, "--sigma", "0.1", "--n", "5", "--out", str(report)]
+    assert cli.main(argv) in (0, 1) and report.exists()
+
+
 def _fresh(code: str, **env: str) -> list[str]:
     """The stdout lines of ``code`` run in a fresh interpreter on this
     checkout's package, with ``env`` over the environment this one has
@@ -162,8 +184,8 @@ def _fresh(code: str, **env: str) -> list[str]:
 
 
 def test_cli_import_leaves_the_executor_unloaded():
-    # concurrent.futures pulls in logging; only `summarize` imports it, itself,
-    # so neither the other commands nor the benchmark's setup_s pay for it
+    # concurrent.futures pulls in logging, and the package starts no thread,
+    # so neither a command nor the benchmark's setup_s pays for it
     assert _fresh("import sys, turnover.cli; print('concurrent.futures' in sys.modules)") == [
         "False"
     ]
