@@ -45,21 +45,27 @@ from .charfn import (
 )
 from .empirical import EmpiricalSummary, finite_or_none, summarize
 from .moments import build_phi_table, phi_base
-from .offsets import KINDS, OffsetDistribution, check_count, check_scale, from_name
+from .offsets import KINDS, check_count, check_scale, from_name
 from .simulator import INIT_KINDS, SimConfig, run
 
 OUT_DIR_ENV = "TURNOVER_OUT_DIR"
 
-# mode -> (needs --n, needs --k)
+# mode -> (reads --n, reads --k, evaluator over (grid, parsed flags, offset
+# law)). Every evaluator takes the whole grid; the recursive ones walk their
+# memo once for it, and the k-modes take the all-equal k-tuple at each grid
+# point. The evaluators are looked up by name at call time, so rebinding them
+# (as a tracer does) reaches this table
 CF_MODES = {
-    "psiN": (True, False),
-    "psiNk": (True, True),
-    "psiInfK": (False, True),
-    "phiN": (True, False),
-    "gammaN": (True, False),
-    "laplaceCF": (False, False),
-    "laplacePdf": (False, False),
-    "muNpdf": (True, False),
+    "psiN": (True, False, lambda s, a, law: distance_cf(s, a.n, law)),
+    "psiNk": (True, True, lambda s, a, law: distances_joint_cf(
+        np.broadcast_to(s, (a.k, s.size)), a.n, law, cap=a.cap)),
+    "psiInfK": (False, True, lambda s, a, law: distances_joint_cf_limit(
+        np.broadcast_to(s, (a.k, s.size)), law.sigma, cap=a.cap)),
+    "phiN": (True, False, lambda s, a, law: particle_cf(s, a.n, law, cap=a.cap)),
+    "gammaN": (True, False, lambda s, a, law: particle_cf_limit(s, a.n, law.sigma, cap=a.cap)),
+    "laplaceCF": (False, False, lambda s, a, law: distance_cf_limit(s, law.sigma)),
+    "laplacePdf": (False, False, lambda s, a, law: laplace_pdf(s, law.sigma)),
+    "muNpdf": (True, False, lambda s, a, law: distance_pdf(s, a.n, law.sigma, a.eps)),
 }
 
 DEFAULT_MOMENT_TOL = {2: 0.05, 4: 0.10, 6: 0.25, 8: 0.60}
@@ -346,39 +352,11 @@ def cmd_moments(args: argparse.Namespace) -> CommandResult:
 # ---------------------------------------------------------------------- cf
 
 
-def _cf_values(
-    mode: str, n: int | None, k: int | None, offsets: OffsetDistribution,
-    cap: int, eps: float, points: np.ndarray,
-) -> np.ndarray:
-    """Values of ``mode`` on ``points``; every evaluator takes the whole grid,
-    the recursive ones walk their memo once for it."""
-    # the evaluators are looked up by name at call time, so rebinding them
-    # (as a tracer does) reaches this dispatch
-    sigma = offsets.sigma
-    if mode == "psiN":
-        return distance_cf(points, n, offsets)
-    if mode == "laplaceCF":
-        return distance_cf_limit(points, sigma)
-    if mode == "laplacePdf":
-        return laplace_pdf(points, sigma)
-    if mode == "muNpdf":
-        return distance_pdf(points, n, sigma, eps)
-    if mode == "phiN":
-        return particle_cf(points, n, offsets, cap=cap)
-    if mode == "gammaN":
-        return particle_cf_limit(points, n, sigma, cap=cap)
-    # the all-equal k-tuple at each grid point
-    lattice = np.broadcast_to(points, (k, points.size))
-    if mode == "psiNk":
-        return distances_joint_cf(lattice, n, offsets, cap=cap)
-    return distances_joint_cf_limit(lattice, sigma, cap=cap)
-
-
 def cmd_cf(args: argparse.Namespace) -> CommandResult:
     mode = args.mode
     points = _parse_grid(args.grid)
     sigma = args.sigma
-    needs_n, needs_k = CF_MODES[mode]
+    needs_n, needs_k, evaluate = CF_MODES[mode]
     if needs_n and args.n is None:
         raise ValueError(f"--n is required for mode {mode}")
     if needs_k and args.k is None:
@@ -390,8 +368,7 @@ def cmd_cf(args: argparse.Namespace) -> CommandResult:
         check_count(args.k, 1, "--k")
     check_count(args.cap, 1, "--cap")
     check_eps(args.eps, "--eps")
-    offsets = from_name(args.offset, sigma)
-    values = _cf_values(mode, args.n, args.k, offsets, args.cap, args.eps, points)
+    values = evaluate(points, args, from_name(args.offset, sigma))
 
     pairs = list(zip(points.tolist(), values.tolist()))
     out = _resolve(args.out)

@@ -31,28 +31,19 @@ _KDE_REACH = 8.0
 _CHUNK = 8192
 
 
-def _powers(samples: np.ndarray, max_order: int):
-    """Yield samples**j for j = 1..max_order, one array multiplied in place.
-
-    Each yielded array is overwritten by the next order, so use it before
-    asking for the next.
-    """
-    check_count(max_order, 1, "max_order")
-    if samples.size == 0:
-        raise ValueError("moments need at least one sample")
-    power = samples.copy()
-    yield power
-    for _ in range(max_order - 1):
-        power *= samples
-        yield power
-
-
 def _moment_sums(frames: np.ndarray, max_order: int) -> list:
     """One (M_j, per-frame mean of x**j) pair for each order j = 1..max_order
-    of a (n_frames, width) array."""
-    return [
-        (float(p.sum()) / frames.size, p.mean(axis=1)) for p in _powers(frames, max_order)
-    ]
+    of a (n_frames, width) array. The powers are formed in one array,
+    multiplied in place (1.0 * x is x, bit for bit)."""
+    check_count(max_order, 1, "max_order")
+    if frames.size == 0:
+        raise ValueError("moments need at least one sample")
+    power = np.ones(frames.shape)
+    sums = []
+    for _ in range(max_order):
+        power *= frames
+        sums.append((float(power.sum()) / frames.size, power.mean(axis=1)))
+    return sums
 
 
 def _ecf_sums(frames: np.ndarray, ecf_points) -> list:

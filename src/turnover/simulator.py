@@ -61,10 +61,11 @@ LINEAGE_MIN_PARTICLES = 64
 SHORT_GAP_PARTICLES = 1 << 16
 SHORT_GAP = 4
 
-# Fewest live lineages that ``lineage_moves`` follows back in one numpy step;
-# a narrower frontier is walked one lineage at a time. At least 1. Widths of
-# 64 to 256 chased as fast at n = 10**3 to 10**5. At 128 a run at n = 100
-# never takes the numpy step, so its chase is the walk it always was.
+# Fewest live lineages that ``lineage_moves`` follows back in one numpy step
+# after the first; a narrower frontier is walked one lineage at a time. At
+# least 1. Widths of 64 to 256 chased as fast at n = 10**3 to 10**5. At 128 a
+# run at n = 100 never takes the searchsorted step, so after its first step
+# its chase is the bisection walk alone.
 FRONTIER_WIDTH = 128
 
 INIT_KINDS = ("all_zero", "iid_gaussian", "iid_uniform")
@@ -103,6 +104,12 @@ class SimConfig:
         if self.init not in INIT_KINDS:
             raise ValueError(f"unknown init {self.init!r}; expected one of {INIT_KINDS}")
         check_scale(self.init_scale, "init_scale")
+        # numpy refuses a uniform range wider than the largest float
+        if self.init == "iid_uniform" and not math.isfinite(2 * math.sqrt(3.0) * self.init_scale):
+            raise ValueError(
+                f"init_scale {self.init_scale!r} is too large for iid_uniform: "
+                "its range 2*sqrt(3)*init_scale is not finite"
+            )
 
     @property
     def resolved_burn_in(self) -> int:
@@ -212,11 +219,13 @@ def lineage_moves(
 
     The moves are sorted by the packed key ``(jumper << shift) | index``,
     where ``2**shift`` exceeds every index, and the lineages are followed
-    back as packed queries ``(particle << shift) | step``. While at least
-    ``FRONTIER_WIDTH`` of them are live, all of them take one step back at
-    once: one ``np.searchsorted`` of the sorted queries finds each one's last
-    write, and the writes two lineages share sit side by side. A narrower
-    frontier is walked one lineage at a time by bisection.
+    back as packed queries ``(particle << shift) | step``. Every walk's first
+    step, at any frontier width, is read off the sorted keys: each live
+    particle's last write ends its run of keys. While at least
+    ``FRONTIER_WIDTH`` lineages are live, all of them then take one step back
+    at once: one ``np.searchsorted`` of the sorted queries finds each one's
+    last write, and the writes two lineages share sit side by side. A
+    narrower frontier is walked one lineage at a time by bisection.
     """
     n = len(live)
     shift = len(ii).bit_length()
@@ -227,30 +236,24 @@ def lineage_moves(
     keys |= np.arange(lo, hi, dtype=dtype)
     keys.sort()
     found = np.zeros(hi - lo, dtype=bool)  # the moves kept, from lo on
-    if np.count_nonzero(live) < FRONTIER_WIDTH:
-        needed = np.zeros(n, dtype=bool)  # the particles whose values at lo are read
-        queries = np.flatnonzero(live).astype(dtype) << shift
-        queries |= hi
-    else:
-        # each live lineage's first step back is its particle's last write
-        # in the block, which ends that particle's run of keys. Read off the
-        # keys, not searched for: at n = 10**5 a 1M-move gap chases in
-        # 50 ms this way and 63 ms through the loop below (best of five,
-        # shared 2-vCPU host)
-        particle = keys >> shift
-        last = keys[np.r_[particle[1:] != particle[:-1], True]]
-        needed = live.copy()
-        needed[last >> shift] = False
-        moves = last[live[last >> shift]] & index
-        found[moves - lo] = True
-        queries = np.left_shift(jj[moves], shift, dtype=dtype)
-        queries |= moves
+    # each live lineage's first step back is its particle's last write in
+    # the block, which ends that particle's run of keys. Read off the keys,
+    # not searched for: at n = 10**5 a 1M-move gap chases in 50 ms this way
+    # and 63 ms through the loop below (best of five, shared 2-vCPU host)
+    particle = keys >> shift
+    last = keys[np.r_[particle[1:] != particle[:-1], True]]
+    needed = live.copy()  # the particles whose values at lo are read
+    needed[last >> shift] = False
+    moves = last[live[last >> shift]] & index
+    found[moves - lo] = True
+    queries = np.left_shift(jj[moves], shift, dtype=dtype)
+    queries |= moves
     while len(queries) >= FRONTIER_WIDTH:
         queries.sort()
         k = np.searchsorted(keys, queries)
         # at k = 0, keys[-1] is another particle's write: a query of q
         # below every key would need a block that writes q alone, yet it
-        # comes from hi (above every key) or from a move that reads q
+        # comes from a move that reads q and so writes another particle
         last = keys[k - 1]
         written = (last ^ queries) >> shift == 0  # the same particle
         needed[queries[~written] >> shift] = True

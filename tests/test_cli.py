@@ -211,21 +211,30 @@ def test_cf_errors(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "mode, extra, evaluate",
-    [
-        ("psiInfK", ["--k", 3], lambda s: charfn.distances_joint_cf_limit((s,) * 3, 0.1)),
-        ("psiNk", ["--n", 20, "--k", 4, "--offset", "two-point"],
-         lambda s: charfn.distances_joint_cf((s,) * 4, 20, offsets.two_point(0.1))),
-        ("phiN", ["--n", 5, "--offset", "uniform"],
-         lambda s: charfn.particle_cf(s, 5, offsets.uniform(0.1))),
-        ("gammaN", ["--n", 8], lambda s: charfn.particle_cf_limit(s, 8, 0.1)),
-        ("muNpdf", ["--n", 100], lambda s: charfn.distance_pdf(s, 100, 0.1)),
-    ],
-    ids=["psiInfK", "psiNk", "phiN", "gammaN", "muNpdf"],
-)
-def test_cf_grid_matches_pointwise(tmp_path, mode, extra, evaluate):
+# mode -> (its flags, the library call that gives its value at one point)
+CF_POINTWISE = {
+    "psiN": (["--n", 30, "--offset", "uniform"],
+             lambda s: charfn.distance_cf(s, 30, offsets.uniform(0.1))),
+    "psiNk": (["--n", 20, "--k", 4, "--offset", "two-point"],
+              lambda s: charfn.distances_joint_cf((s,) * 4, 20, offsets.two_point(0.1))),
+    "psiInfK": (["--k", 3], lambda s: charfn.distances_joint_cf_limit((s,) * 3, 0.1)),
+    "phiN": (["--n", 5, "--offset", "uniform"],
+             lambda s: charfn.particle_cf(s, 5, offsets.uniform(0.1))),
+    "gammaN": (["--n", 8], lambda s: charfn.particle_cf_limit(s, 8, 0.1)),
+    "laplaceCF": ([], lambda s: charfn.distance_cf_limit(s, 0.1)),
+    "laplacePdf": ([], lambda s: charfn.laplace_pdf(s, 0.1)),
+    "muNpdf": (["--n", 100], lambda s: charfn.distance_pdf(s, 100, 0.1)),
+}
+
+
+def test_cf_pointwise_cases_cover_every_mode():
+    assert sorted(CF_POINTWISE) == sorted(cli.CF_MODES)
+
+
+@pytest.mark.parametrize("mode", sorted(CF_POINTWISE))
+def test_cf_grid_matches_pointwise(tmp_path, mode):
     # the whole grid in one evaluation writes what one call per point gives
+    extra, evaluate = CF_POINTWISE[mode]
     out = tmp_path / "grid.json"
     assert run_cli(
         "cf", "--mode", mode, *extra, "--sigma", 0.1, "--grid", "-20:20:9",
@@ -233,6 +242,20 @@ def test_cf_grid_matches_pointwise(tmp_path, mode, extra, evaluate):
     ) == 0
     points = read_json(out)["points"]
     assert [p["value"] for p in points] == [float(evaluate(p["s"])) for p in points]
+
+
+@pytest.mark.parametrize("mode", sorted(cli.CF_MODES))
+def test_cf_json_nulls_the_flags_a_mode_does_not_read(tmp_path, mode):
+    # --n and --k are given to every mode; the payload records only those it reads
+    reads_n = mode in ("psiN", "psiNk", "phiN", "gammaN", "muNpdf")
+    reads_k = mode in ("psiNk", "psiInfK")
+    out = tmp_path / "grid.json"
+    assert run_cli(
+        "cf", "--mode", mode, "--n", 6, "--k", 2, "--sigma", 0.1, "--grid", "0:5:3",
+        "--format", "json", "--out", out,
+    ) == 0
+    data = read_json(out)
+    assert (data["n"], data["k"]) == (6 if reads_n else None, 2 if reads_k else None)
 
 
 def test_simulate_canonical_distance_run(tmp_path):
@@ -582,11 +605,16 @@ def test_compare_validates_flags(tmp_path, capsys):
         ) == 2
         assert "eps must be in (0, 1)" in capsys.readouterr().err
     assert not report.exists()
-    assert run_cli(
-        "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 100,
-        "--init", "iid-gaussian", "--init-scale", "nan", "--out", report,
-    ) == 2
-    assert "init_scale" in capsys.readouterr().err
+    # a uniform range past the float range is an error line, not numpy's
+    # OverflowError from the draw
+    for init, scale in (
+        ("iid-gaussian", "nan"), ("iid-uniform", "6e307"), ("iid-uniform", "1e308")
+    ):
+        assert run_cli(
+            "simulate", "--particles", 5, "--sigma", 0.1, "--steps", 100,
+            "--init", init, "--init-scale", scale, "--out", report,
+        ) == 2
+        assert "init_scale" in capsys.readouterr().err
     assert not report.exists()
     bad = tmp_path / "s.json"
     for ecf_s in ("nan", "5,inf"):

@@ -403,7 +403,7 @@ def test_summary_calls_traced_functions_on_the_calling_thread(monkeypatch):
     assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
-def test_summary_checks_max_order_before_starting_the_worker(monkeypatch):
+def test_summary_checks_max_order_before_any_statistic(monkeypatch):
     calls = _record_threads(monkeypatch, ["kde"])
     threads = threading.active_count()
     with pytest.raises(ValueError, match="max_order"):
@@ -412,15 +412,14 @@ def test_summary_checks_max_order_before_starting_the_worker(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_summary_reraises_a_worker_failure_and_joins_it(monkeypatch):
+def test_summary_reraises_a_moment_sum_failure_and_leaves_no_thread(monkeypatch):
     # a failure in the moment sums reaches the caller, and no thread is left
-    def failing(samples, max_order):
-        raise RuntimeError("worker failed")
-        yield  # a generator, as _powers is
+    def failing(frames, max_order):
+        raise RuntimeError("moment sums failed")
 
-    monkeypatch.setattr(empirical, "_powers", failing)
+    monkeypatch.setattr(empirical, "_moment_sums", failing)
     threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="worker failed"):
+    with pytest.raises(RuntimeError, match="moment sums failed"):
         _toy_summary()
     assert threading.active_count() == threads
 
@@ -448,7 +447,7 @@ def test_summary_starts_no_thread(monkeypatch):
     assert seen == [caller]
 
 
-def test_summary_worker_keeps_the_callers_errstate():
+def test_summary_moment_sums_keep_the_callers_errstate():
     # only the sample powers overflow, and the caller's errstate holds there
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):

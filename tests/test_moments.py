@@ -143,6 +143,25 @@ def test_kurtosis_is_exactly_five():
     assert m4 / m2**2 == Fraction(5)
 
 
+def test_moment_ratios_follow_the_exponential_tail_with_a_power_prefactor():
+    # a density C |x|**beta exp(-sqrt(2) |x| / sigma) has, at sigma = 1,
+    # M_{m+2} / M_m -> (m + beta + 2)(m + beta + 1) / 2; README "The limit
+    # law" derives beta = -2. So r_m = M_{m+2} / ((m+1)(m+2) M_m) over
+    # m(m-1) / (2(m+1)(m+2)) tends to 1 from above, about as 1 + 6/m**2,
+    # where a power law would send it to 0 and another beta would leave a
+    # 2(beta + 2)/m term
+    table = moments.build_phi_table(32)
+    excess = []
+    for m in range(4, 31, 2):
+        r = table.moment(m + 2) / ((m + 1) * (m + 2) * table.moment(m))
+        excess.append(r / Fraction(m * (m - 1), 2 * (m + 1) * (m + 2)) - 1)
+        assert 0 < excess[-1] < Fraction(7, m * m)
+    assert all(a > b for a, b in zip(excess, excess[1:]))  # falling in m
+    assert [round(float(1 + excess[k]), 4) for k in (0, 1, 5, 13)] == [
+        1.1944, 1.0633, 1.022, 1.0063
+    ]
+
+
 def test_sigma_enters_only_through_the_power():
     table = moments.build_phi_table(6)
     m6 = table.moment(6)

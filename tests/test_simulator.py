@@ -286,6 +286,16 @@ def test_config_validation():
             simulator.SimConfig(
                 n_particles=2, offsets=dist, steps=1, init="iid_gaussian", init_scale=scale
             )
+    # numpy's uniform draw needs its range 2 * sqrt(3) * init_scale to be finite
+    for scale in (6e307, 1e308):
+        with pytest.raises(ValueError, match="init_scale"):
+            simulator.SimConfig(
+                n_particles=2, offsets=dist, steps=1, init="iid_uniform", init_scale=scale
+            )
+    wide = simulator.SimConfig(
+        n_particles=2, offsets=dist, steps=0, burn_in=0, init="iid_uniform", init_scale=5e307
+    )
+    assert np.all(np.isfinite(simulator.run(wide).positions))
     config = simulator.SimConfig(n_particles=12, offsets=dist, steps=1)
     assert config.resolved_burn_in == 1200
 

@@ -247,6 +247,15 @@ def test_readme_library_snippet_runs():
     assert _fresh(code)[-1] == "102877/720"
 
 
+def test_readme_grid_paragraph_names_every_cf_mode():
+    from turnover import cli
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("\nGrid syntax", 1)[1].split("\n\n", 1)[0]
+    missing = [mode for mode in cli.CF_MODES if f"`{mode}`" not in paragraph]
+    assert not missing, f"README's grid paragraph does not name {missing}"
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_module_uses_every_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
