@@ -573,7 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--observe", default="distances", choices=["distances", "positions", "raw"]
     )
     sim.add_argument("--max-order", type=int, default=8, dest="max_order")
-    sim.add_argument("--ecf-s", default="5,10,20,40", dest="ecf_s")
+    sim.add_argument(
+        "--ecf-s", default="5,10,20,40", dest="ecf_s",
+        help="ECF points; a point exactly twice the one before it is derived "
+        "from it by angle doubling, so order matters (default: %(default)s, "
+        "one doubling chain)",
+    )
     sim.add_argument("--bins", type=int, default=201)
     sim.add_argument(
         "--kde-bandwidth", type=float, default=None, dest="kde_bandwidth"

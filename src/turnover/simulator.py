@@ -195,7 +195,16 @@ def _initial_positions(config: SimConfig, rng: np.random.Generator) -> list[floa
     if config.init == "all_zero":
         return [0.0] * n
     if config.init == "iid_gaussian":
-        return (rng.standard_normal(n) * config.init_scale).tolist()
+        # the gaussian has no finite range to check beforehand: refuse a draw
+        # that overflows, before the chain carries it
+        with np.errstate(over="ignore"):
+            x = rng.standard_normal(n) * config.init_scale
+        if not np.isfinite(x).all():
+            raise ValueError(
+                f"init_scale {config.init_scale!r} is too large for iid_gaussian: "
+                "a drawn position is not finite"
+            )
+        return x.tolist()
     # iid uniform with standard deviation init_scale
     half = math.sqrt(3.0) * config.init_scale
     return rng.uniform(-half, half, n).tolist()

@@ -815,10 +815,26 @@ def test_simulate_past_the_float_range_writes_no_warnings(tmp_path):
         capture_output=True, text=True,
     )
     assert done.returncode == 0 and done.stderr == ""
-    # the payload as it was written while the warnings still showed
+    # the payload as it was written while the warnings still showed, but for
+    # its ECF values, which take s = 10, 20 and 40 by angle doubling
     assert hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest() == (
-        "9eebcbcbcea5fbed7996d87a9322128546c6916f158b40a9845883301e9090ad"
+        "48bfd73eb931af21b0a0791a0c4a78c2b24a657010592e86483c5138fb7cc8d9"
     )
+
+
+def test_simulate_refuses_a_gaussian_init_past_the_float_range(tmp_path):
+    # some drawn positions overflow to inf: refused before the chain runs,
+    # with an error line that names init_scale and no numpy warning
+    done = subprocess.run(
+        [sys.executable, "-m", "turnover.cli", "simulate", "--particles", "50",
+         "--sigma", "0.1", "--steps", "100", "--init", "iid-gaussian", "--init-scale", "1e308",
+         "--out", str(tmp_path / "g.json")],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: init_scale 1e+308") and "iid_gaussian" in line
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_compare_fails_null_summary_values_and_writes_the_report(tmp_path):

@@ -282,10 +282,67 @@ def test_summary_ecf_bounded():
     assert all(abs(re) <= 1.0 for _, re, _ in summary.ecf)
 
 
+_U = 2.0**-53
+
+
+def _doubling_bound(d):
+    """Per sample, the largest gap between a cos or sin value d doublings
+    down an ECF chain and its direct evaluation (``_ecf_sums``' docstring)."""
+    return 2 * 4**d * _U
+
+
+def _mean_bound(d, n):
+    # a mean of n values of magnitude <= 1 adds its own pairwise-sum rounding,
+    # about log2(n) u, once for each of the two means compared
+    return _doubling_bound(d) + 2 * math.ceil(math.log2(n)) * _U
+
+
 def test_summary_ecf_equals_empirical_cf_of_all_samples():
+    # the default points 5, 10, 20, 40 are one chain: s = 5 * 2**d is d
+    # doublings down it, where empirical_cf takes each point directly
     summary, frames = _toy_summary()
-    for s, re, im in summary.ecf:
-        assert (re, im) == empirical.empirical_cf(frames.ravel(), s)
+    for d, (s, re, im) in enumerate(summary.ecf):
+        direct = empirical.empirical_cf(frames.ravel(), s)
+        assert s == 5.0 * 2**d
+        assert abs(re - direct[0]) <= _mean_bound(d, frames.size)
+        assert abs(im - direct[1]) <= _mean_bound(d, frames.size)
+
+
+def test_ecf_doubling_stays_within_its_bound_of_the_direct_values():
+    frames = _pinned_frames()
+    chain = empirical._ecf_sums(frames, (5.0, 10.0, 20.0, 40.0))
+    # one sample per row: each per-frame series is the per-sample cosine
+    per_sample = empirical._ecf_sums(frames.reshape(-1, 1), (5.0, 10.0, 20.0, 40.0))
+    for d, ((point, series), (_, samples)) in enumerate(zip(chain, per_sample)):
+        s, re, im = point
+        [((_, re0, im0), series0)] = empirical._ecf_sums(frames, (s,))
+        cos0 = np.cos(s * frames.ravel())
+        if d == 0:
+            assert (re, im) == (re0, im0)
+            np.testing.assert_array_equal(series, series0)
+            np.testing.assert_array_equal(samples, cos0)
+            continue
+        assert abs(re - re0) <= _mean_bound(d, frames.size)
+        assert abs(im - im0) <= _mean_bound(d, frames.size)
+        assert np.abs(series - series0).max() <= _mean_bound(d, frames.shape[1])
+        assert np.abs(samples - cos0).max() <= _doubling_bound(d)
+
+
+def test_ecf_doubles_only_a_point_twice_the_one_before_it():
+    frames = _pinned_frames()[:300]
+    # 14 doubles 7; 7 and 40 are not twice the point before them, so each is
+    # taken directly, bit for bit as on its own
+    sums = empirical._ecf_sums(frames, (5.0, 7.0, 14.0, 40.0))
+    alone = [empirical._ecf_sums(frames, (s,))[0] for s in (7.0, 40.0)]
+    pair = empirical._ecf_sums(frames, (7.0, 14.0))
+    for (point, series), (point0, series0) in zip(
+        [sums[1], sums[3], sums[2]], [alone[0], alone[1], pair[1]]
+    ):
+        assert point == point0
+        np.testing.assert_array_equal(series, series0)
+    [(direct, _)] = empirical._ecf_sums(frames, (14.0,))
+    assert sums[2][0] != direct
+    assert abs(sums[2][0][1] - direct[1]) <= _mean_bound(1, frames.size)
 
 
 @pytest.mark.parametrize("shape", [(64, 9), (10001, 99), (2, 99999), (777, 13)])
@@ -335,6 +392,11 @@ def test_summary_histogram_counts_outside_samples_as_clipped():
         summary = empirical.summarize(frames, 1.0, hist_range=(lo, hi), bins=bins)
         expected, _ = np.histogram(np.clip(frames, lo, hi), bins=summary.histogram_edges)
         np.testing.assert_array_equal(summary.histogram_counts, expected)
+    # samples on every edge, twice: an inner edge counts in the bin above it,
+    # the last edge in the last bin
+    edges = np.linspace(-0.5, 0.8, 10)
+    summary = empirical.summarize(np.tile(edges, (2, 1)), 1.0, hist_range=(-0.5, 0.8), bins=9)
+    np.testing.assert_array_equal(summary.histogram_counts, [2] * 8 + [4])
 
 
 def test_summary_rejects_a_bad_hist_range(monkeypatch):
@@ -348,6 +410,32 @@ def test_summary_rejects_a_bad_hist_range(monkeypatch):
     assert started == []
 
 
+def test_summary_refuses_a_kde_grid_lost_to_rounding():
+    # 8 bandwidths of 0.1 vanish beside 1e307, so the grid would repeat one
+    # point; the message names the sample range and the bandwidth
+    with pytest.raises(ValueError, match=r"KDE grid .* \[1e\+307, 1e\+307\] .* of 0\.1"):
+        empirical.summarize(np.full((2, 3), 1e307), 1.0, hist_range=(1e307, 1e307))
+
+
+def test_summary_sorts_once_for_the_kde_and_the_ks_statistic(monkeypatch):
+    seen = []
+    for name in ("kde", "ks_laplace"):
+        fn = getattr(empirical, name)
+
+        def recorded(samples, *args, _fn=fn):
+            seen.append(samples)
+            return _fn(samples, *args)
+
+        monkeypatch.setattr(empirical, name, recorded)
+    _, frames = _toy_summary()
+    [x, same] = seen
+    assert x is same
+    np.testing.assert_array_equal(x, np.sort(frames.ravel()))
+    # and neither sorts it again
+    assert np.shares_memory(empirical._sorted(x), x)
+    assert not np.shares_memory(empirical._sorted(frames), frames)
+
+
 def _pinned_frames():
     return np.random.default_rng(13).laplace(0.0, 0.1 / math.sqrt(2), (10001, 99))
 
@@ -355,9 +443,9 @@ def _pinned_frames():
 @pytest.mark.parametrize(
     "kw, digest",
     [
-        ({}, "7a1e23943a565d16ce86f2b0c313c67d43e9a4eecbf48dc72aee596be976ab32"),
+        ({}, "bbfd400e91e5296f359cb133bd2abffba35c8fe7322521a446e9383ce0a8e880"),
         ({"hist_range": (-0.05, 0.05), "bins": 41},
-         "a12d3e5f0bc7da7a073d90f6aaf4ab5e71821c431970a35fdd2d483d0ac5e74a"),
+         "ce56435ec863344f5de6314385f75c03435dbd1f37a4af67d03cc7ac5fa8e1d2"),
     ],
     ids=["default", "clipped-histogram"],
 )

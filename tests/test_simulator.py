@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -296,6 +297,15 @@ def test_config_validation():
         n_particles=2, offsets=dist, steps=0, burn_in=0, init="iid_uniform", init_scale=5e307
     )
     assert np.all(np.isfinite(simulator.run(wide).positions))
+    # the gaussian draw has no finite range: run refuses a position that
+    # overflows, before the chain runs and with no numpy warning
+    wild = simulator.SimConfig(
+        n_particles=50, offsets=dist, steps=1, burn_in=0, init="iid_gaussian", init_scale=1e308
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="init_scale 1e\\+308 .* not finite"):
+            simulator.run(wild)
     config = simulator.SimConfig(n_particles=12, offsets=dist, steps=1)
     assert config.resolved_burn_in == 1200
 
